@@ -5,11 +5,13 @@
 // device, deferred siblings spin on the blind 1 ms retry timer, and the
 // worker count is static — so the emitted JSON is its own baseline.
 //
-// Expected shape: without batching, MPL user committers plus N reorg
-// workers each demand a full device force per commit, so the force
-// queue — not the migration work — gates both reorg wall-clock and user
-// throughput. Batching the queued forces (one elected flusher per
-// batch, the rest absorbed) collapses that queue to ~one force per
+// Expected shape: migration commits do not force (DESIGN.md §15; a run
+// forces once at its exit), so the force queue is the MPL user
+// committers'. Without batching each of them demands a full device
+// force, so the queue gates user throughput — and reorg wall-clock too,
+// since users hold the parents the reorganizer must lock while they
+// wait for their force. Batching the queued forces (one elected flusher
+// per batch, the rest absorbed) collapses that queue to ~one force per
 // batch; claim-aware wakeup then removes the deferral dead time and the
 // adaptive controller stops entangled clusters from thrashing. User p99
 // improves for the same reason: commits ride a shared batch instead of

@@ -59,13 +59,14 @@ struct ExperimentConfig {
   // Delay before the reorganization starts (lets the MPL threads warm up).
   double warmup_s = 0.05;
   // Commit-time log-force latency (models the disk force that gives the
-  // paper's system CPU/I-O overlap). This is the dominant reason the
-  // paper's IRA barely dents user throughput: each migration transaction
-  // spends most of its life waiting for its commit force, during which
-  // user transactions run. The log device is serial (one disk head), so
-  // at high MPL the force queue — not the CPU — caps commit throughput.
+  // paper's system CPU/I-O overlap). User commits pay it; migration
+  // commits do not — a reorganization forces once at its exit and before
+  // each checkpoint (DESIGN.md §15). The log device is serial (one disk
+  // head), so at high MPL the force queue — not the CPU — caps commit
+  // throughput.
   std::chrono::microseconds flush_latency = kCommitForceLatency;
-  // Group commit across committers (reorg workers + user transactions).
+  // Group commit across committers (user transactions and the
+  // reorganizer's barriers).
   // Off = every committer queues a serial force of its own (the classic
   // no-group-commit discipline) — the bench ablation baseline.
   bool group_commit = true;

@@ -79,7 +79,8 @@ int main() {
               static_cast<unsigned long long>(stats.objects_migrated));
 
   // Crash again *after* the reorganization and recover: the migration is
-  // durable (every migration transaction commits and forces the log).
+  // durable (migrations commit without a force, and the run forces the log
+  // once before it returns OK).
   db.SimulateCrash();
   s = db.Recover();
   std::printf("second recovery: %s\n", s.ToString().c_str());

@@ -332,19 +332,23 @@ Status IraReorganizer::MigrateAllAndFinish(
     // so the state is consistent: persist exactly how far we got
     // (bypassing the checkpoint cadence) so a later Resume finishes the
     // job when contention subsides.
-    MaybeCheckpoint(p, options, traversed, *plists, *stats, /*force=*/true);
-    ctx_.trt->Disable();
-    return result;
-  }
-
-  // Section 4.6: everything allocated in the partition that the traversal
-  // did not reach is garbage — reclaim it.
-  if (result.ok() && options.collect_garbage) {
+    Status cs =
+        MaybeCheckpoint(p, options, traversed, *plists, *stats, /*force=*/true);
+    if (cs.IsCrashed()) return cs;
+  } else if (result.ok() && options.collect_garbage) {
+    // Section 4.6: everything allocated in the partition that the
+    // traversal did not reach is garbage — reclaim it.
     result = SweepGarbage(p, traversed, *stats, stats);
     if (result.IsCrashed()) return result;
   }
 
   ctx_.trt->Disable();
+  // Durability barrier (DESIGN.md §15): every migration, sweep and
+  // compensation of this run committed without a force. One force of the
+  // whole tail makes them stable before any non-crash status reaches the
+  // caller, so finished work is durable whatever the result.
+  Status fs = ctx_.log->ForceCommit(ctx_.log->last_lsn());
+  if (!fs.ok()) return fs;
   return result;
 }
 
@@ -395,13 +399,15 @@ Status IraReorganizer::MigrateSequential(
       result = s;
       break;
     }
-    MaybeCheckpoint(p, options, traversed, *plists, *stats, /*force=*/false,
-                    &ws);
+    result = MaybeCheckpoint(p, options, traversed, *plists, *stats,
+                             /*force=*/false, &ws);
+    if (!result.ok()) break;
   }
   // Degraded / retry-exhausted / error exits commit the open group: it
-  // only ever holds whole completed migrations, so committing keeps the
-  // finished work durable and releases the reorganizer's locks. A
-  // simulated crash abandons it; an Aborted result rolls it back.
+  // only ever holds whole completed migrations, so committing (made
+  // durable by the exit barrier in MigrateAllAndFinish) keeps the finished
+  // work and releases the reorganizer's locks. A simulated crash abandons
+  // it; an Aborted result rolls it back.
   return CloseGroup(&ws, result, stats);
 }
 
@@ -495,8 +501,9 @@ void IraReorganizer::WorkerMain(MigrationPipe* pipe, PartitionId p,
       }
       if (pipe->ArriveBarrier()) {
         if (!pipe->stopped()) {
-          MaybeCheckpoint(p, options, traversed, *plists, *stats,
-                          /*force=*/true);
+          Status ck = MaybeCheckpoint(p, options, traversed, *plists, *stats,
+                                      /*force=*/true);
+          if (!ck.ok()) pipe->Stop(ck);
         }
         pipe->BarrierCut(stats->objects_migrated + options.checkpoint_every);
       }
@@ -681,7 +688,7 @@ Status IraReorganizer::CloseGroup(MigratorState* ws, Status result,
     return result;
   }
   if (ws->group_txn != nullptr) {
-    Status cs = ws->group_txn->Commit();
+    Status cs = ws->group_txn->CommitDeferred();
     if (cs.IsCrashed()) {
       ws->group_txn->Abandon();
       ws->group_txn.reset();
@@ -725,28 +732,41 @@ void IraReorganizer::BackoffSleep(uint32_t attempt, const IraOptions& options,
   std::this_thread::sleep_for(delay);
 }
 
-void IraReorganizer::MaybeCheckpoint(
+Status IraReorganizer::MaybeCheckpoint(
     PartitionId p, const IraOptions& options,
     const std::unordered_set<ObjectId>& traversed, const ParentLists& plists,
     const ReorgStats& stats, bool force, const MigratorState* ws) {
-  if (options.checkpoint_sink == nullptr) return;
+  if (options.checkpoint_sink == nullptr) return Status::Ok();
   if (!force) {
-    if (options.checkpoint_every == 0) return;
-    if (stats.objects_migrated % options.checkpoint_every != 0) return;
+    if (options.checkpoint_every == 0) return Status::Ok();
+    if (stats.objects_migrated % options.checkpoint_every != 0) {
+      return Status::Ok();
+    }
     // Checkpointed state must only cover *committed* migrations: with
     // grouping, the open group transaction's moves would be lost by a
     // crash, so checkpoint only at group boundaries. (A forced checkpoint
     // is only taken after every open group has been committed — on the
     // parallel path, at the barrier.)
-    if (ws != nullptr && ws->group_txn != nullptr && ws->in_group != 0) return;
+    if (ws != nullptr && ws->group_txn != nullptr && ws->in_group != 0) {
+      return Status::Ok();
+    }
   }
+  // Durability barrier (DESIGN.md §15): migrations commit without a
+  // force, so make every one the checkpoint is about to cover stable
+  // first. No migration runs concurrently here (sequential loop, or all
+  // workers parked at the barrier), so the forced LSN bounds the
+  // relocation snapshot below. A crash in the force publishes nothing.
+  const Lsn lsn = ctx_.log->last_lsn();
+  Status fs = ctx_.log->ForceCommit(lsn);
+  if (!fs.ok()) return fs;
   ReorgCheckpoint* ckpt = options.checkpoint_sink;
   ckpt->partition = p;
-  ckpt->lsn = ctx_.log->last_lsn();
+  ckpt->lsn = lsn;
   ckpt->traversed = traversed;
   ckpt->parents = plists.Flatten();
   ckpt->relocation = stats.RelocationSnapshot();
   ckpt->valid = true;
+  return Status::Ok();
 }
 
 void IraReorganizer::RecordReverseRelocation(ObjectId onew, ObjectId oold) {
@@ -895,6 +915,15 @@ Status IraReorganizer::FindExactParents(ObjectId oid, Transaction* txn,
         }
         ctx_.trt->EraseTuple(t);
         ++stats->trt_tuples_drained;
+        if (SideEffectLog* sel = txn->side_effect_log()) {
+          // The tuple can be the only evidence of parent r (a reference
+          // inserted after the traversal). If the group rolls back, the
+          // undo of an earlier member's FinishMigration takes r's copy
+          // back out of oid's parent list, so the tuple must return too.
+          Trt* trt = ctx_.trt;
+          sel->Record(txn->id(), SideEffectLog::Kind::kTrtDrain,
+                      [trt, t] { trt->RestoreTuple(t); });
+        }
         if (r != oid && IsParentOf(ctx_.store, r, oid)) {
           plists->AddParent(oid, r);  // persists across retries
         } else if (r != oid && !plists->Contains(oid, r)) {
@@ -1045,10 +1074,10 @@ Status IraReorganizer::MigrateBasic(ObjectId oid, PartitionId p,
     }
     AtomicMax(&stats->max_distinct_objects_locked, txn->num_locks_held());
     if (++ws->in_group >= options.group_size) {
-      // Crash here: the whole group's migrations are in the (unflushed)
-      // log without a commit record — recovery rolls them all back.
+      // Crash here: the whole group's migrations are in the log without
+      // a commit record — recovery rolls them all back.
       BRAHMA_FAILPOINT("ira:basic:before-commit");
-      Status cs = ws->group_txn->Commit();
+      Status cs = ws->group_txn->CommitDeferred();
       if (cs.IsCrashed()) {
         ws->group_txn->Abandon();
       } else if (!cs.ok()) {
@@ -1186,8 +1215,9 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
     if (!fp.ok()) return bail(fp);
   }
 
-  // Copy the contents and durably create O_new in its own transaction, so
-  // a crash between parent updates never leaves committed references to a
+  // Copy the contents and create O_new in its own transaction, committed
+  // before any parent is rewritten: the stable log is a prefix, so a
+  // crash between parent updates never leaves committed references to a
   // rolled-back O_new.
   std::vector<ObjectId> refs;
   std::vector<uint8_t> data;
@@ -1232,9 +1262,9 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
             t->Abort();
             return fs;
           }
-          return t->Commit();
+          return t->CommitDeferred();
         });
-    s = ctxn->Commit();
+    s = ctxn->CommitDeferred();
     if (s.IsCrashed()) {
       ctxn->Abandon();
       return bail(s);
@@ -1242,9 +1272,11 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
     if (!s.ok()) return bail(s);
   }
   {
-    // Crash here: O_new's create is committed (and flushed) while every
-    // parent still references O_old — the earliest Section 4.2
-    // interrupted-migration state FindInterruptedMigrations must detect.
+    // Crash here: O_new's create is committed while every parent still
+    // references O_old. If some later force (a user commit) covered the
+    // create's commit record, this is the earliest Section 4.2
+    // interrupted-migration state FindInterruptedMigrations must detect;
+    // otherwise the create is lost and only O_old survives.
     Status fp = failpoint::Check("ira:twolock:after-create");
     if (!fp.ok()) return bail(fp);
   }
@@ -1256,7 +1288,7 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
   uint32_t in_group = 0;
   auto commit_group = [&]() -> Status {
     if (ptxn == nullptr) return Status::Ok();
-    Status cs = ptxn->Commit();
+    Status cs = ptxn->CommitDeferred();
     if (cs.IsCrashed()) ptxn->Abandon();
     ptxn.reset();
     in_group = 0;
@@ -1377,7 +1409,7 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
                 pl->AddParent(oid, rr);
                 break;
               }
-              return t->Commit();
+              return t->CommitDeferred();
             });
       }
       plists->RemoveParent(oid, r);
@@ -1441,12 +1473,13 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
                              migrated, plists, stats);
   if (!s.ok()) return bail(s);
   {
-    // Crash here: O_old's free is logged but unflushed and uncommitted —
-    // recovery rolls the anchor back, reviving the interrupted state.
+    // Crash here: O_old's free is logged but uncommitted — recovery rolls
+    // the anchor back, reviving whatever interrupted state reached the
+    // stable log.
     Status fp = failpoint::Check("ira:twolock:before-commit");
     if (!fp.ok()) return bail(fp);
   }
-  s = anchor->Commit();
+  s = anchor->CommitDeferred();
   if (s.IsCrashed()) {
     anchor->Abandon();
     return s;
@@ -1516,7 +1549,7 @@ Status IraReorganizer::SweepGarbage(
     }
     ++stats->garbage_collected;
   }
-  Status cs = gtxn->Commit();
+  Status cs = gtxn->CommitDeferred();
   if (cs.IsCrashed()) {
     gtxn->Abandon();
     return cs;

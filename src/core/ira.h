@@ -27,8 +27,11 @@ struct IraOptions {
   // objects are locked at any point of time.
   bool two_lock_mode = false;
 
-  // Section 4.3: migrations grouped per transaction to amortize logging.
-  // In two-lock mode this instead groups parent updates per transaction.
+  // Section 4.3: migrations grouped per transaction. Migration commits
+  // are not forced (the run forces once at its exit, DESIGN.md §15), so
+  // grouping no longer amortizes log forces: it trades locks held at once
+  // against log records per commit. In two-lock mode this instead groups
+  // parent updates per transaction.
   uint32_t group_size = 1;
 
   // Section 4.6: reclaim objects of the partition that the traversal did
@@ -127,7 +130,9 @@ class IraReorganizer {
 
   // Runs the full algorithm on partition p. Blocking; returns when every
   // live object of the partition has been migrated (and, optionally,
-  // garbage reclaimed).
+  // garbage reclaimed). Migrations commit without forcing the log; every
+  // non-crash return (Run and Resume alike) forces it once, so all the
+  // work the run committed is stable when it returns.
   Status Run(PartitionId p, RelocationPlanner* planner,
              const IraOptions& options, ReorgStats* stats);
 
@@ -162,7 +167,8 @@ class IraReorganizer {
   };
 
   // Shared second step: migrate `objects` (skipping already-migrated /
-  // freed ones), then optionally sweep garbage and disable the TRT.
+  // freed ones), then optionally sweep garbage, disable the TRT, and force
+  // the log once — the run's durability barrier.
   Status MigrateAllAndFinish(PartitionId p, RelocationPlanner* planner,
                              const IraOptions& options,
                              const std::unordered_set<ObjectId>& traversed,
@@ -205,10 +211,15 @@ class IraReorganizer {
   static Status CloseGroup(MigratorState* ws, Status result,
                            ReorgStats* stats = nullptr);
 
-  void MaybeCheckpoint(PartitionId p, const IraOptions& options,
-                       const std::unordered_set<ObjectId>& traversed,
-                       const ParentLists& plists, const ReorgStats& stats,
-                       bool force = false, const MigratorState* ws = nullptr);
+  // Publishes a Section 4.4 checkpoint into options.checkpoint_sink when
+  // one is due (always when force is set). Forces the log first, so a
+  // checkpoint never covers an unforced migration; returns the force's
+  // failure (a crash) without publishing.
+  Status MaybeCheckpoint(PartitionId p, const IraOptions& options,
+                         const std::unordered_set<ObjectId>& traversed,
+                         const ParentLists& plists, const ReorgStats& stats,
+                         bool force = false,
+                         const MigratorState* ws = nullptr);
 
   // Sleeps the exponential-backoff delay for the given retry attempt and
   // accounts for it in stats. No-op when backoff is disabled.

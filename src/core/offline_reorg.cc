@@ -40,9 +40,10 @@ Status OfflineReorganizer::Run(PartitionId p, RelocationPlanner* planner,
     if (!result.ok()) break;
     migrated.Insert(oid);
   }
-  if (result.ok()) {
-    txn->Commit();
-  } else {
+  if (result.ok()) result = txn->Commit();
+  if (result.IsCrashed()) {
+    txn->Abandon();  // crash semantics: restart recovery owns the cleanup
+  } else if (!result.ok()) {
     txn->Abort();
   }
   stats->duration_ms = sw.ElapsedMillis();

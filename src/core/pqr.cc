@@ -116,11 +116,13 @@ Status PqrReorganizer::RunAttempt(PartitionId p, RelocationPlanner* planner,
     migrated.Insert(oid);
   }
 
-  if (result.ok()) {
-    txn->Commit();
-  } else if (result.IsCrashed()) {
+  // A clean commit failure (an injected abort at a commit site) leaves
+  // the transaction active: it rolls back below like any other failure,
+  // so the caller never sees OK for a partition that was not moved.
+  if (result.ok()) result = txn->Commit();
+  if (result.IsCrashed()) {
     txn->Abandon();  // crash semantics: restart recovery owns the cleanup
-  } else {
+  } else if (!result.ok()) {
     txn->Abort();
     ++stats->aborts_rolled_back;
   }

@@ -365,11 +365,15 @@ Status CompleteInterruptedMigration(const ReorgContext& ctx, ObjectId old_id,
   }
   ctx.store->PublishRelocation(old_id, new_id);
   Status s = txn->FreeObject(old_id);
+  if (s.ok()) s = txn->Commit();
+  if (s.IsCrashed()) {
+    txn->Abandon();  // crash semantics: restart recovery owns the cleanup
+    return s;
+  }
   if (!s.ok()) {
     txn->Abort();
     return s;
   }
-  txn->Commit();
   return Status::Ok();
 }
 
@@ -411,8 +415,8 @@ Status MoveObjectAndUpdateRefs(const ReorgContext& ctx, Transaction* txn,
   // Hold O_new's lock until this transaction resolves (uncontended: the
   // object is unreachable). Sibling migrators learn of O_new through the
   // parent-list fix-ups below *before* this transaction commits; the lock
-  // makes them block until the copy is durable rather than read or
-  // rewrite an uncommitted object.
+  // makes them block until the copy commits rather than read or rewrite
+  // an uncommitted object.
   txn->Lock(onew, LockMode::kExclusive);
   // Crash here: O_new exists but is uncommitted — recovery undoes the
   // whole migration transaction and O_old stays authoritative.

@@ -62,6 +62,7 @@ class SideEffectLog {
     kErtAdjust,      // ERT multiset add/remove (rewrite, finish, gc)
     kParentLists,    // ParentLists add/remove/erase
     kTrtRename,      // Trt::RenameParent
+    kTrtDrain,       // Trt tuple erased by a Find_Exact_Parents drain
     kRelocation,     // relocation-map publication (+ reverse map)
     kMigrated,       // migrated-set insert (marks a whole migration)
     kCounters,       // stats counters (objects_migrated, bytes_moved)

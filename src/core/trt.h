@@ -23,10 +23,11 @@ struct TrtTuple {
   ObjectId parent;  // the referencer
   TxnId txn = kInvalidTxn;
   Action action = Action::kInsert;
+  uint64_t seq = 0;  // order in which the tuple was noted (log order)
 
   friend bool operator==(const TrtTuple& a, const TrtTuple& b) {
     return a.child == b.child && a.parent == b.parent && a.txn == b.txn &&
-           a.action == b.action;
+           a.action == b.action && a.seq == b.seq;
   }
 };
 
@@ -38,8 +39,9 @@ struct TrtTuple {
 //
 // Space optimization (Section 4.5): under strict 2PL, a transaction's
 // delete-tuples may be purged when it completes, and when a transaction
-// that deleted R -> O commits, a matching insert tuple may be purged too.
-// The purge hook is only wired when transactions are strictly two-phase.
+// that deleted R -> O commits, a matching insert tuple noted before the
+// delete may be purged too. The purge hook is only wired when
+// transactions are strictly two-phase.
 class Trt {
  public:
   Trt() : table_(/*bucket_capacity=*/8) {}
@@ -69,12 +71,13 @@ class Trt {
   }
 
   void NoteInsert(ObjectId child, ObjectId parent, TxnId txn) {
-    table_.Insert(child, TrtTuple{child, parent, txn, TrtTuple::Action::kInsert});
+    table_.Insert(child, TrtTuple{child, parent, txn,
+                                  TrtTuple::Action::kInsert, next_seq_++});
     inserts_noted_.fetch_add(1, std::memory_order_relaxed);
   }
 
   void NoteDelete(ObjectId child, ObjectId parent, TxnId txn) {
-    TrtTuple t{child, parent, txn, TrtTuple::Action::kDelete};
+    TrtTuple t{child, parent, txn, TrtTuple::Action::kDelete, next_seq_++};
     table_.Insert(child, t);
     deletes_noted_.fetch_add(1, std::memory_order_relaxed);
     if (purge_) {
@@ -108,6 +111,8 @@ class Trt {
   bool HasTuplesFor(ObjectId child) const { return table_.ContainsKey(child); }
 
   bool EraseTuple(const TrtTuple& t) { return table_.EraseOne(t.child, t); }
+  // Puts back a tuple EraseTuple removed (rollback of a drain).
+  void RestoreTuple(const TrtTuple& t) { table_.Insert(t.child, t); }
 
   // Distinct parents across all tuples (PQR locks them while quiescing).
   std::vector<ObjectId> AllParents() const {
@@ -162,11 +167,15 @@ class Trt {
       purged_.fetch_add(1, std::memory_order_relaxed);
       if (!committed) continue;
       // The reference (t.parent -> t.child) is durably gone: one matching
-      // insert tuple (any transaction) is stale and may go too.
+      // insert tuple (any transaction) is stale and may go too — but only
+      // one noted before the delete. An insert noted after it re-created
+      // the reference (the delete/re-insert pattern of Figure 2), and a
+      // fuzzy traversal that read the parent between the two saw no edge:
+      // that insert tuple is the only evidence left of the parent.
       std::optional<TrtTuple> match;
       table_.ForEachValue(t.child, [&](const TrtTuple& u) {
         if (!match.has_value() && u.action == TrtTuple::Action::kInsert &&
-            u.parent == t.parent) {
+            u.parent == t.parent && u.seq < t.seq) {
           match = u;
         }
       });
@@ -191,6 +200,7 @@ class Trt {
   std::atomic<uint64_t> inserts_noted_{0};
   std::atomic<uint64_t> deletes_noted_{0};
   std::atomic<uint64_t> purged_{0};
+  std::atomic<uint64_t> next_seq_{0};
 };
 
 }  // namespace brahma

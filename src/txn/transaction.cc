@@ -303,7 +303,11 @@ Status Transaction::FreeObject(ObjectId oid) {
   return ctx_.store->RetireObject(oid);
 }
 
-Status Transaction::Commit() {
+Status Transaction::Commit() { return CommitImpl(/*force=*/true); }
+
+Status Transaction::CommitDeferred() { return CommitImpl(/*force=*/false); }
+
+Status Transaction::CommitImpl(bool force) {
   if (state_ != State::kActive) return Status::Aborted("txn not active");
   // Crash before the commit record exists: the transaction is a loser
   // and restart recovery undoes it from the stable log.
@@ -318,12 +322,15 @@ Status Transaction::Commit() {
   BRAHMA_FAILPOINT(source_ == LogSource::kReorg
                        ? "txn:reorg-commit:before-flush"
                        : "txn:commit:before-flush");
-  // Group-commit force: may batch with concurrent committers. A crash
-  // injected between the device force and the durability acknowledgement
-  // propagates here — the transaction is NOT committed (recovery decides
-  // its fate from the stable log) and the caller abandons it.
-  Status fs = ctx_.log->ForceCommit(lsn);
-  if (!fs.ok()) return fs;
+  if (force) {
+    // Group-commit force: may batch with concurrent committers. A crash
+    // injected between the device force and the durability
+    // acknowledgement propagates here — the transaction is NOT committed
+    // (recovery decides its fate from the stable log) and the caller
+    // abandons it.
+    Status fs = ctx_.log->ForceCommit(lsn);
+    if (!fs.ok()) return fs;
+  }
   state_ = State::kCommitted;
   // Side effects become permanent with the transaction: pending entries
   // are dropped, compensable ones kept for a later committed reversal.

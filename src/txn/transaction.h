@@ -106,7 +106,18 @@ class Transaction {
   Status FreeObject(ObjectId oid);
 
   // --- completion ----------------------------------------------------------
+  // Forced commit: OK means the commit record is on the stable log.
   Status Commit();
+  // Deferred commit for internal system transactions whose only observers
+  // are later transactions in the same log and the caller (the
+  // reorganizer's migrations, DESIGN.md §15). Appends the commit record,
+  // promotes the side-effect log, completes the transaction and releases
+  // its locks — but does not force the log. The transaction is durable
+  // once any later force covers its commit record: a later committer's,
+  // or the caller's own barrier, LogManager::ForceCommit(last_lsn()). A
+  // crash before that loses it together with everything that could have
+  // observed it, because the stable log is always a prefix.
+  Status CommitDeferred();
   Status Abort();
 
   // Crash semantics: the transaction simply stops — no undo, no abort
@@ -161,6 +172,8 @@ class Transaction {
   WaiterProfile VictimProfile() const;
   ObjectHeader* GetLive(ObjectId oid) const;
   Lsn AppendOwn(LogRecord rec);
+  // Shared body of Commit (force = true) and CommitDeferred.
+  Status CommitImpl(bool force);
   void UndoToEnd();
 
   TransactionManager* mgr_;

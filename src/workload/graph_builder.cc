@@ -4,6 +4,19 @@
 
 namespace brahma {
 
+namespace {
+
+// Commits one build transaction. A commit that fails cleanly leaves it
+// active, and the caller's early return destroys (and so aborts) it; a
+// crash abandons it for restart recovery.
+Status CommitBuildTxn(Transaction* txn) {
+  Status s = txn->Commit();
+  if (s.IsCrashed()) txn->Abandon();
+  return s;
+}
+
+}  // namespace
+
 Status GraphBuilder::Build(const WorkloadParams& params, BuiltGraph* out) {
   if (params.num_partitions + 1 > db_->store().num_partitions()) {
     return Status::InvalidArgument(
@@ -32,7 +45,8 @@ Status GraphBuilder::Build(const WorkloadParams& params, BuiltGraph* out) {
       if (!s.ok()) return s;
       out->partition_dirs.push_back(dir);
     }
-    txn->Commit();
+    s = CommitBuildTxn(txn.get());
+    if (!s.ok()) return s;
   }
 
   // Cluster trees: one transaction per cluster keeps undo chains small.
@@ -71,7 +85,8 @@ Status GraphBuilder::Build(const WorkloadParams& params, BuiltGraph* out) {
       if (!s.ok()) return s;
       s = txn->SetRef(out->partition_dirs[p - 1], c, tree[0]);
       if (!s.ok()) return s;
-      txn->Commit();
+      s = CommitBuildTxn(txn.get());
+      if (!s.ok()) return s;
       out->cluster_roots[p - 1].push_back(tree[0]);
     }
   }
@@ -105,7 +120,8 @@ Status GraphBuilder::Build(const WorkloadParams& params, BuiltGraph* out) {
         s = txn->SetRef(node, WorkloadParams::kGlueSlot, target);
         if (!s.ok()) return s;
       }
-      txn->Commit();
+      Status s = CommitBuildTxn(txn.get());
+      if (!s.ok()) return s;
     }
   }
 

@@ -209,65 +209,119 @@ TEST(CrashScheduleTest, ParallelTwoLockModeSurvivesCrashAtEverySite) {
   }
 }
 
-// Satellite: the Section 4.2 window between the two copies — O_new's
-// create has committed, O_old still holds the data's old identity, and
-// the crash lands before the anchor transaction ties them together.
-// FindInterruptedMigrations must report the pair after restart and
-// CompleteInterruptedMigration must fold it.
-TEST(CrashScheduleTest, TwoLockCrashBetweenCopiesIsFoldedOnRestart) {
-  FailPoints::Instance().Reset();
-  Database db(testing::SmallDbOptions(5));
-  WorkloadParams params = testing::SmallWorkload(2);
-  params.objects_per_partition = 85;
+// The Section 4.2 window between the two copies: O_new's create has
+// committed, O_old still holds the data's old identity, and the crash
+// lands before the anchor transaction ties them together. Migrations
+// commit without a force (DESIGN.md §15), so the create is durable only
+// if some later force covered its commit record.
+struct BetweenCopiesCrash {
+  // Builds the graph and runs the two-lock reorganizer into the crash on
+  // the 3rd migration, right after O_new commits and before any parent
+  // learns about it.
+  void Run() {
+    FailPoints::Instance().Reset();
+    WorkloadParams params = testing::SmallWorkload(2);
+    params.objects_per_partition = 85;
+    GraphBuilder builder(&db);
+    ASSERT_TRUE(builder.Build(params, &graph).ok());
+    live_p1 = CountLiveObjects(&db.store(), 1);
+    total_live = TotalLiveObjects(&db.store());
+    ASSERT_TRUE(db.Checkpoint().ok());
+
+    ASSERT_TRUE(FailPoints::Instance()
+                    .ArmFromString("ira:twolock:after-create=crash.nth(3)")
+                    .ok());
+    IraOptions opt;
+    opt.two_lock_mode = true;
+    ReorgStats stats;
+    IraReorganizer ira(db.reorg_context());
+    Status s = ira.Run(1, &planner, opt, &stats);
+    FailPoints::Instance().Reset();
+    ASSERT_TRUE(s.IsCrashed()) << s.ToString();
+    ASSERT_EQ(stats.objects_migrated, 2u);
+  }
+
+  // The rest of the partition still reorganizes cleanly.
+  void Finish() {
+    ReorgStats stats;
+    IraOptions fin;
+    fin.two_lock_mode = true;
+    IraReorganizer ira(db.reorg_context());
+    ASSERT_TRUE(ira.Run(1, &planner, fin, &stats).ok());
+    EXPECT_EQ(CountLiveObjects(&db.store(), 1), 0u);
+    EXPECT_EQ(CountLiveObjects(&db.store(), 5), live_p1);
+    EXPECT_EQ(CountDanglingRefs(&db.store()), 0);
+  }
+
+  Database db{testing::SmallDbOptions(5)};
   BuiltGraph graph;
-  GraphBuilder builder(&db);
-  ASSERT_TRUE(builder.Build(params, &graph).ok());
-  const uint64_t total_live = TotalLiveObjects(&db.store());
-  db.Checkpoint();
+  CopyOutPlanner planner{5};
+  uint64_t live_p1 = 0;
+  uint64_t total_live = 0;
+};
 
-  // Crash on the 3rd migration, right after O_new commits and before any
-  // parent learns about it.
-  ASSERT_TRUE(FailPoints::Instance()
-                  .ArmFromString("ira:twolock:after-create=crash.nth(3)")
-                  .ok());
-  IraOptions opt;
-  opt.two_lock_mode = true;
-  CopyOutPlanner planner(5);
-  ReorgStats stats;
-  IraReorganizer ira(db.reorg_context());
-  Status s = ira.Run(1, &planner, opt, &stats);
-  ASSERT_TRUE(s.IsCrashed()) << s.ToString();
-  ASSERT_EQ(stats.objects_migrated, 2u);
-  FailPoints::Instance().Reset();
-
+// A user commit lands after O_new's create and before the crash. Its
+// force carries the whole log prefix, the create included, so both
+// copies survive: FindInterruptedMigrations must report the pair after
+// restart and CompleteInterruptedMigration must fold it. (The user
+// transaction runs after the reorganizer stopped at the crash site and
+// before the process dies — the same log a concurrent committer racing
+// the crash would leave.)
+TEST(CrashScheduleTest, TwoLockCrashBetweenCopiesIsFoldedOnRestart) {
+  BetweenCopiesCrash t;
+  t.Run();
+  if (::testing::Test::HasFatalFailure()) return;
+  Database& db = t.db;
+  {
+    auto txn = db.Begin();
+    const ObjectId target = t.graph.cluster_roots[1][0];  // partition 2
+    ASSERT_TRUE(txn->Lock(target, LockMode::kExclusive).ok());
+    std::vector<uint8_t> data;
+    ASSERT_TRUE(txn->ReadData(target, &data).ok());
+    ASSERT_TRUE(txn->WriteData(target, data).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
   db.SimulateCrash();
   ASSERT_TRUE(db.Recover().ok());
 
-  // Both copies of the in-flight object survived the crash.
+  // Both copies of the in-flight object survived the crash, and so did
+  // the two migrations before it.
   auto pairs = FindInterruptedMigrations(&db.store(), &db.log());
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_TRUE(db.store().Validate(pairs[0].old_id));
   EXPECT_TRUE(db.store().Validate(pairs[0].new_id));
   EXPECT_EQ(pairs[0].old_id.partition(), 1u);
   EXPECT_EQ(pairs[0].new_id.partition(), 5u);
+  EXPECT_EQ(CountLiveObjects(&db.store(), 5), 3u);
 
   ReorgContext ctx = db.reorg_context();
   ASSERT_TRUE(
       CompleteInterruptedMigration(ctx, pairs[0].old_id, pairs[0].new_id)
           .ok());
   EXPECT_FALSE(db.store().Validate(pairs[0].old_id));
-  EXPECT_EQ(TotalLiveObjects(&db.store()), total_live);
+  EXPECT_EQ(TotalLiveObjects(&db.store()), t.total_live);
   EXPECT_EQ(CountDanglingRefs(&db.store()), 0);
   EXPECT_EQ(CountErtDiscrepancies(&db.store(), &db.erts()), 0);
+  t.Finish();
+}
 
-  // The rest of the partition still reorganizes cleanly.
-  ReorgStats stats2;
-  IraOptions fin;
-  fin.two_lock_mode = true;
-  IraReorganizer ira2(db.reorg_context());
-  ASSERT_TRUE(ira2.Run(1, &planner, fin, &stats2).ok());
-  EXPECT_EQ(CountLiveObjects(&db.store(), 1), 0u);
+// No force after the create: the crash loses it, together with the two
+// earlier migrations that were never forced either. Only O_old survives
+// and there is no pair to fold.
+TEST(CrashScheduleTest, TwoLockCrashBetweenCopiesWithoutForceLeavesOnlyOld) {
+  BetweenCopiesCrash t;
+  t.Run();
+  if (::testing::Test::HasFatalFailure()) return;
+  Database& db = t.db;
+  db.SimulateCrash();
+  ASSERT_TRUE(db.Recover().ok());
+  EXPECT_TRUE(FindInterruptedMigrations(&db.store(), &db.log()).empty());
+  EXPECT_EQ(CountLiveObjects(&db.store(), 1), t.live_p1);
+  EXPECT_EQ(CountLiveObjects(&db.store(), 5), 0u);
+  EXPECT_EQ(TotalLiveObjects(&db.store()), t.total_live);
   EXPECT_EQ(CountDanglingRefs(&db.store()), 0);
+  EXPECT_EQ(CountErtDiscrepancies(&db.store(), &db.erts()), 0);
+  t.Finish();
 }
 
 }  // namespace

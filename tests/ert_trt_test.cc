@@ -161,6 +161,22 @@ TEST(TrtTest, CommitPurgesMatchingInsert) {
   EXPECT_EQ(trt.Size(), 1u);
 }
 
+TEST(TrtTest, CommitKeepsInsertNotedAfterTheDelete) {
+  // The delete/re-insert pattern: one transaction deletes R -> O and puts
+  // it back. A fuzzy traversal that read R between the two saw no edge,
+  // so the re-insert tuple must survive the deleter's commit.
+  Trt trt;
+  trt.Enable(1, true);
+  trt.NoteDelete(kChildA, kParentX, 10);
+  trt.NoteInsert(kChildA, kParentX, 10);
+  trt.OnTxnComplete(10, /*committed=*/true);
+  auto t = trt.AnyTupleFor(kChildA);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->action, TrtTuple::Action::kInsert);
+  EXPECT_EQ(t->parent, kParentX);
+  EXPECT_EQ(trt.Size(), 1u);
+}
+
 TEST(TrtTest, AbortDoesNotPurgeMatchingInsert) {
   Trt trt;
   trt.Enable(1, true);

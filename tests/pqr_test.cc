@@ -5,6 +5,7 @@
 #include <atomic>
 #include <thread>
 
+#include "common/failpoint.h"
 #include "core/database.h"
 #include "core/offline_reorg.h"
 #include "tests/test_util.h"
@@ -116,6 +117,48 @@ TEST_F(PqrTest, CompactionMode) {
   ASSERT_TRUE(db_.RunPqr(1, &planner, PqrOptions{}, &stats).ok());
   EXPECT_EQ(testing::CountLiveObjects(&db_.store(), 1),
             params_.objects_per_partition);
+  EXPECT_EQ(testing::CountDanglingRefs(&db_.store()), 0);
+}
+
+TEST_F(PqrTest, CommitFailureRollsBackAndIsReported) {
+  // An injected clean failure at the whole-partition commit: the move
+  // must roll back and Run must say so, not report OK over a partition
+  // the abort just restored.
+  BuildGraph(2);
+  const uint64_t live_p1 = testing::CountLiveObjects(&db_.store(), 1);
+  const size_t reachable = testing::CollectReachable(&db_.store()).size();
+  ASSERT_TRUE(FailPoints::Instance()
+                  .ArmFromString("txn:reorg-commit:begin=aborted")
+                  .ok());
+  CopyOutPlanner planner(5);
+  ReorgStats stats;
+  Status s = db_.RunPqr(1, &planner, PqrOptions{}, &stats);
+  FailPoints::Instance().Reset();
+  EXPECT_TRUE(s.IsAborted()) << s.ToString();
+  EXPECT_EQ(stats.aborts_rolled_back, 1u);
+  EXPECT_EQ(testing::CountLiveObjects(&db_.store(), 1), live_p1);
+  EXPECT_EQ(testing::CountLiveObjects(&db_.store(), 5), 0u);
+  EXPECT_EQ(testing::CollectReachable(&db_.store()).size(), reachable);
+  db_.analyzer().Sync();
+  EXPECT_EQ(testing::CountDanglingRefs(&db_.store()), 0);
+  EXPECT_EQ(testing::CountErtDiscrepancies(&db_.store(), &db_.erts()), 0);
+  EXPECT_EQ(db_.locks().NumLockedObjects(), 0u);
+}
+
+TEST_F(PqrTest, OfflineCommitFailureIsReported) {
+  BuildGraph(2);
+  const uint64_t live_p1 = testing::CountLiveObjects(&db_.store(), 1);
+  ASSERT_TRUE(FailPoints::Instance()
+                  .ArmFromString("txn:reorg-commit:begin=aborted")
+                  .ok());
+  OfflineReorganizer offline(db_.reorg_context());
+  CopyOutPlanner planner(5);
+  ReorgStats stats;
+  Status s = offline.Run(1, &planner, &stats);
+  FailPoints::Instance().Reset();
+  EXPECT_TRUE(s.IsAborted()) << s.ToString();
+  EXPECT_EQ(testing::CountLiveObjects(&db_.store(), 1), live_p1);
+  EXPECT_EQ(testing::CountLiveObjects(&db_.store(), 5), 0u);
   EXPECT_EQ(testing::CountDanglingRefs(&db_.store()), 0);
 }
 
