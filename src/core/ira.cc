@@ -1,7 +1,6 @@
 #include "core/ira.h"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -46,6 +45,92 @@ Cleanup<F> MakeCleanup(F fn) {
 
 Status IraReorganizer::Run(PartitionId p, RelocationPlanner* planner,
                            const IraOptions& options, ReorgStats* stats) {
+  return Reorganize(p, planner, options, stats,
+                    [&](TraversalResult* tr, MigratedSet*) {
+    // Start collecting pointer inserts/deletes for the partition. Sync
+    // first so pre-reorganization history (already reflected in the graph
+    // and the ERTs) does not leak into the TRT. Delete tuples may be
+    // purged on transaction completion only under strict 2PL (Section 4.5).
+    ctx_.analyzer->Sync();
+    ctx_.trt->Enable(
+        p, ctx_.txns->ctx().strict_2pl && !options.disable_trt_purge);
+
+    // Quiesce barrier: wait for all transactions active at the time the
+    // reorganization started, so all relevant updates are in the TRT
+    // (Section 4.5).
+    ctx_.txns->WaitForAll(ctx_.txns->ActiveTxns());
+
+    // Step 1: Find_Objects_And_Approx_Parents.
+    FuzzyTraversal traversal(ctx_.store, ctx_.erts, ctx_.trt, ctx_.analyzer,
+                             ctx_.epoch);
+    *tr = traversal.Run(p);
+    stats->traversal_visited = tr->objects_visited;
+  });
+}
+
+Status IraReorganizer::Resume(const ReorgCheckpoint& checkpoint,
+                              RelocationPlanner* planner,
+                              const IraOptions& options, ReorgStats* stats) {
+  if (!checkpoint.valid) {
+    return Status::InvalidArgument("invalid reorg checkpoint");
+  }
+  const PartitionId p = checkpoint.partition;
+  return Reorganize(p, planner, options, stats,
+                    [&](TraversalResult* tr, MigratedSet* migrated) {
+    // Reconstruct the TRT from the log generated since the checkpoint
+    // (Section 4.4), then let the live analyzer keep noting new updates.
+    // (Records between restart and this call may be noted twice — extra
+    // tuples only cost drain work.)
+    ctx_.trt->Enable(
+        p, ctx_.txns->ctx().strict_2pl && !options.disable_trt_purge);
+    ReconstructTrt(ctx_.log, checkpoint.lsn, ctx_.trt);
+    ctx_.analyzer->Sync();
+    ctx_.txns->WaitForAll(ctx_.txns->ActiveTxns());
+
+    // Restore the checkpointed traversal state.
+    tr->traversed = checkpoint.traversed;
+    tr->parents = ParentLists::FromFlat(checkpoint.parents);
+    for (const auto& [old_id, new_id] : checkpoint.relocation) {
+      migrated->Insert(old_id);
+      stats->AddRelocation(old_id, new_id);
+      // Re-arm the store-level chase table for latch-free readers holding
+      // pre-crash ids (the table is volatile; the checkpoint is its redo).
+      ctx_.store->PublishRelocation(old_id, new_id);
+      RecordReverseRelocation(new_id, old_id);
+    }
+    // Patch for migrations that committed after the checkpoint: their old
+    // identities are dead; parents recorded under them now live in the new
+    // copies.
+    for (const auto& [old_id, new_id] :
+         PostCheckpointRelocations(ctx_.log, checkpoint.lsn)) {
+      if (migrated->Contains(old_id)) continue;
+      // Only a migration that stuck counts: old dead, new live. A rolled
+      // back migration leaves the old copy live (WAL undo or compensation
+      // recreated it) and the new one freed — it must be re-migrated, not
+      // patched into the parent lists.
+      if (ctx_.store->Validate(old_id) || !ctx_.store->Validate(new_id)) {
+        continue;
+      }
+      migrated->Insert(old_id);
+      stats->AddRelocation(old_id, new_id);
+      ctx_.store->PublishRelocation(old_id, new_id);
+      RecordReverseRelocation(new_id, old_id);
+      tr->parents.ReplaceParentEverywhere(old_id, new_id);
+      tr->parents.Erase(old_id);
+    }
+
+    // Top up the traversal from TRT-referenced objects only — the
+    // checkpoint spares us the full partition traversal.
+    FuzzyTraversal traversal(ctx_.store, ctx_.erts, ctx_.trt, ctx_.analyzer,
+                             ctx_.epoch);
+    traversal.TopUp(p, tr);
+    stats->traversal_visited = tr->traversed.size();
+  });
+}
+
+Status IraReorganizer::Reorganize(PartitionId p, RelocationPlanner* planner,
+                                  const IraOptions& options, ReorgStats* stats,
+                                  const Seed& seed) {
   if (options.wait_for_historical_lockers && !ctx_.locks->history_enabled()) {
     return Status::InvalidArgument(
         "wait_for_historical_lockers requires lock history");
@@ -72,39 +157,9 @@ Status IraReorganizer::Run(PartitionId p, RelocationPlanner* planner,
   const uint64_t pm_before = pool != nullptr ? pool->pool_misses() : 0;
   const uint64_t fe_before = pool != nullptr ? pool->frames_evicted() : 0;
   const uint64_t dw_before = pool != nullptr ? pool->dirty_writebacks() : 0;
-  const DeadlockPolicy saved_policy = ctx_.locks->deadlock_policy();
-  if (options.wait_die) {
-    ctx_.locks->set_deadlock_policy(DeadlockPolicy::kWaitDie);
-  }
-  auto restore_policy = MakeCleanup([this, saved_policy] {
-    ctx_.locks->set_deadlock_policy(saved_policy);
-  });
 
-  // Start collecting pointer inserts/deletes for the partition. Sync
-  // first so pre-reorganization history (already reflected in the graph
-  // and the ERTs) does not leak into the TRT. Delete tuples may be purged
-  // on transaction completion only under strict 2PL (Section 4.5).
-  const bool strict = ctx_.txns->ctx().strict_2pl;
-  ctx_.analyzer->Sync();
-  ctx_.trt->Enable(p, strict && !options.disable_trt_purge);
-
-  // Quiesce barrier: wait for all transactions active at the time the
-  // reorganization started, so all relevant updates are in the TRT
-  // (Section 4.5).
-  ctx_.txns->WaitForAll(ctx_.txns->ActiveTxns());
-
-  // Step 1: Find_Objects_And_Approx_Parents.
-  FuzzyTraversal traversal(ctx_.store, ctx_.erts, ctx_.trt, ctx_.analyzer,
-                           ctx_.epoch);
-  TraversalResult tr = traversal.Run(p);
-  stats->traversal_visited = tr.objects_visited;
-
-  ParentLists plists = std::move(tr.parents);
-  std::vector<ObjectId> objects(tr.traversed.begin(), tr.traversed.end());
-  planner->Order(&objects);
-
-  // Step 2: for each object, find and lock the exact parents, then move.
-  MigratedSet migrated;
+  // Cleared before seeding: Resume's seed records the checkpointed
+  // relocations in reverse_relocation_.
   {
     std::lock_guard<std::mutex> g(reloc_mu_);
     reverse_relocation_.clear();
@@ -113,9 +168,19 @@ Status IraReorganizer::Run(PartitionId p, RelocationPlanner* planner,
     std::lock_guard<std::mutex> g(claims_mu_);
     claims_.clear();
   }
+  TraversalResult tr;
+  MigratedSet migrated;
+  seed(&tr, &migrated);
+
+  // Step 2: for each object, find and lock the exact parents, then move.
+  std::vector<ObjectId> objects;
+  objects.reserve(tr.traversed.size());
+  for (ObjectId oid : tr.traversed) {
+    if (!migrated.Contains(oid)) objects.push_back(oid);
+  }
+  planner->Order(&objects);
   Status result = MigrateAllAndFinish(p, planner, options, tr.traversed,
-                                      std::move(objects), &migrated, &plists,
-                                      stats);
+                                      objects, &migrated, &tr.parents, stats);
   stats->duration_ms = sw.ElapsedMillis();
   stats->faults_injected +=
       FailPoints::Instance().total_triggered() - faults_before;
@@ -160,163 +225,40 @@ Status IraReorganizer::Run(PartitionId p, RelocationPlanner* planner,
   return result;
 }
 
-Status IraReorganizer::Resume(const ReorgCheckpoint& checkpoint,
-                              RelocationPlanner* planner,
-                              const IraOptions& options, ReorgStats* stats) {
-  if (!checkpoint.valid) {
-    return Status::InvalidArgument("invalid reorg checkpoint");
-  }
-  if (options.wait_for_historical_lockers && !ctx_.locks->history_enabled()) {
-    return Status::InvalidArgument(
-        "wait_for_historical_lockers requires lock history");
-  }
-  Stopwatch sw;
-  const uint64_t faults_before = FailPoints::Instance().total_triggered();
-  const uint64_t gc_batches_before = ctx_.log->group_commit_batches();
-  const uint64_t gc_absorbed_before =
-      ctx_.log->group_commit_forces_absorbed();
-  const uint64_t fsyncs_before = ctx_.log->fsyncs();
-  const uint64_t media_faults_before =
-      MediaFaultInjector::Instance().faults_injected();
-  const uint64_t dd_before = ctx_.locks->deadlocks_detected();
-  const uint64_t va_before = ctx_.locks->victims_aborted();
-  const uint64_t vw_before = ctx_.locks->victim_wait_saved_ms();
-  const uint64_t ea_before =
-      ctx_.epoch != nullptr ? ctx_.epoch->epochs_advanced() : 0;
-  const uint64_t rd_before =
-      ctx_.epoch != nullptr ? ctx_.epoch->retire_drains() : 0;
-  const uint64_t lf_before =
-      ctx_.epoch != nullptr ? ctx_.epoch->latchfree_reads() : 0;
-  BufferPool* pool = ctx_.store->buffer_pool();
-  const uint64_t ph_before = pool != nullptr ? pool->pool_hits() : 0;
-  const uint64_t pm_before = pool != nullptr ? pool->pool_misses() : 0;
-  const uint64_t fe_before = pool != nullptr ? pool->frames_evicted() : 0;
-  const uint64_t dw_before = pool != nullptr ? pool->dirty_writebacks() : 0;
-  const DeadlockPolicy saved_policy = ctx_.locks->deadlock_policy();
-  if (options.wait_die) {
-    ctx_.locks->set_deadlock_policy(DeadlockPolicy::kWaitDie);
-  }
-  auto restore_policy = MakeCleanup([this, saved_policy] {
-    ctx_.locks->set_deadlock_policy(saved_policy);
-  });
-  const PartitionId p = checkpoint.partition;
-  const bool strict = ctx_.txns->ctx().strict_2pl;
-
-  // Reconstruct the TRT from the log generated since the checkpoint
-  // (Section 4.4), then let the live analyzer keep noting new updates.
-  // (Records between restart and this call may be noted twice — extra
-  // tuples only cost drain work.)
-  ctx_.trt->Enable(p, strict && !options.disable_trt_purge);
-  ReconstructTrt(ctx_.log, checkpoint.lsn, ctx_.trt);
-  ctx_.analyzer->Sync();
-  ctx_.txns->WaitForAll(ctx_.txns->ActiveTxns());
-
-  // Restore the checkpointed traversal state.
-  TraversalResult tr;
-  tr.traversed = checkpoint.traversed;
-  tr.parents = ParentLists::FromFlat(checkpoint.parents);
-  MigratedSet migrated;
-  {
-    std::lock_guard<std::mutex> g(reloc_mu_);
-    reverse_relocation_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> g(claims_mu_);
-    claims_.clear();
-  }
-  for (const auto& [old_id, new_id] : checkpoint.relocation) {
-    migrated.Insert(old_id);
-    stats->AddRelocation(old_id, new_id);
-    // Re-arm the store-level chase table for latch-free readers holding
-    // pre-crash ids (the table is volatile; the checkpoint is its redo).
-    ctx_.store->PublishRelocation(old_id, new_id);
-    RecordReverseRelocation(new_id, old_id);
-  }
-  // Patch for migrations that committed after the checkpoint: their old
-  // identities are dead; parents recorded under them now live in the new
-  // copies.
-  for (const auto& [old_id, new_id] :
-       PostCheckpointRelocations(ctx_.log, checkpoint.lsn)) {
-    if (migrated.Contains(old_id)) continue;
-    // Only a migration that stuck counts: old dead, new live. A rolled
-    // back migration leaves the old copy live (WAL undo or compensation
-    // recreated it) and the new one freed — it must be re-migrated, not
-    // patched into the parent lists.
-    if (ctx_.store->Validate(old_id) || !ctx_.store->Validate(new_id)) {
-      continue;
-    }
-    migrated.Insert(old_id);
-    stats->AddRelocation(old_id, new_id);
-    ctx_.store->PublishRelocation(old_id, new_id);
-    RecordReverseRelocation(new_id, old_id);
-    tr.parents.ReplaceParentEverywhere(old_id, new_id);
-    tr.parents.Erase(old_id);
-  }
-
-  // Top up the traversal from TRT-referenced objects only — the
-  // checkpoint spares us the full partition traversal.
-  FuzzyTraversal traversal(ctx_.store, ctx_.erts, ctx_.trt, ctx_.analyzer,
-                           ctx_.epoch);
-  traversal.TopUp(p, &tr);
-  stats->traversal_visited = tr.traversed.size();
-
-  std::vector<ObjectId> objects;
-  objects.reserve(tr.traversed.size());
-  for (ObjectId oid : tr.traversed) {
-    if (!migrated.Contains(oid)) objects.push_back(oid);
-  }
-  planner->Order(&objects);
-  Status result = MigrateAllAndFinish(p, planner, options, tr.traversed,
-                                      std::move(objects), &migrated,
-                                      &tr.parents, stats);
-  stats->duration_ms = sw.ElapsedMillis();
-  stats->faults_injected +=
-      FailPoints::Instance().total_triggered() - faults_before;
-  stats->group_commit_batches +=
-      ctx_.log->group_commit_batches() - gc_batches_before;
-  stats->forces_absorbed +=
-      ctx_.log->group_commit_forces_absorbed() - gc_absorbed_before;
-  // Durability deltas (kInMemory mode contributes zeros): real fsyncs
-  // the run's commits paid, and media faults the file layer injected
-  // while the run overlapped them.
-  stats->fsyncs += ctx_.log->fsyncs() - fsyncs_before;
-  stats->media_faults_injected +=
-      MediaFaultInjector::Instance().faults_injected() - media_faults_before;
-  stats->deadlocks_detected += ctx_.locks->deadlocks_detected() - dd_before;
-  stats->victims_aborted += ctx_.locks->victims_aborted() - va_before;
-  stats->victim_wait_ms_saved +=
-      ctx_.locks->victim_wait_saved_ms() - vw_before;
-  if (ctx_.epoch != nullptr) {
-    // Give retirements queued at the tail of the run a drain pass now
-    // that the migration transactions are done: compaction accounting
-    // (and the fragmentation assertions in tests) wants O_old's holes
-    // back as soon as the last reader's grace period allows. Then fold
-    // the shared epoch counters as deltas, like the group-commit ones.
-    ctx_.epoch->AdvanceAndDrain();
-    stats->epoch_advances += ctx_.epoch->epochs_advanced() - ea_before;
-    stats->retire_drains += ctx_.epoch->retire_drains() - rd_before;
-    stats->latchfree_reads += ctx_.epoch->latchfree_reads() - lf_before;
-  }
-  if (pool != nullptr) {
-    stats->pool_hits += pool->pool_hits() - ph_before;
-    stats->pool_misses += pool->pool_misses() - pm_before;
-    stats->frames_evicted += pool->frames_evicted() - fe_before;
-    stats->dirty_writebacks += pool->dirty_writebacks() - dw_before;
-  }
-  return result;
-}
-
 Status IraReorganizer::MigrateAllAndFinish(
     PartitionId p, RelocationPlanner* planner, const IraOptions& options,
     const std::unordered_set<ObjectId>& traversed,
-    std::vector<ObjectId> objects, MigratedSet* migrated, ParentLists* plists,
-    ReorgStats* stats) {
-  Status result =
-      options.num_workers > 1
-          ? MigrateParallel(p, planner, options, traversed, objects, migrated,
-                            plists, stats)
-          : MigrateSequential(p, planner, options, traversed, objects,
-                              migrated, plists, stats);
+    const std::vector<ObjectId>& objects, MigratedSet* migrated,
+    ParentLists* plists, ReorgStats* stats) {
+  const uint32_t workers = std::max(options.num_workers, 1u);
+  MigrationPipe::Options popt;
+  popt.workers = workers;
+  popt.checkpoint_every =
+      options.checkpoint_sink != nullptr ? options.checkpoint_every : 0;
+  MigrationPipe pipe(objects, popt);
+  {
+    std::lock_guard<std::mutex> g(claims_mu_);
+    wake_pipe_ = &pipe;
+  }
+  if (options.throttle != nullptr) options.throttle->AttachPipe(&pipe, workers);
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  for (uint32_t i = 0; i < workers; ++i) {
+    threads.emplace_back([&] {
+      WorkerMain(&pipe, p, planner, options, traversed, migrated, plists,
+                 stats);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  if (options.throttle != nullptr) options.throttle->DetachPipe(&pipe);
+  {
+    std::lock_guard<std::mutex> g(claims_mu_);
+    wake_pipe_ = nullptr;
+  }
+  // Pipe-local scheduling counters fold into the run's stats after the
+  // join (the pipe dies with this frame).
+  stats->claim_wakeups += pipe.claim_wakeups();
+  Status result = pipe.result();
   if (result.IsCrashed()) {
     // Simulated crash: a dead process commits nothing, releases nothing,
     // and never reaches the GC sweep. Groups were abandoned on the way
@@ -325,15 +267,13 @@ Status IraReorganizer::MigrateAllAndFinish(
     return result;
   }
 
-  if (result.IsDegraded() || result.IsAborted() || result.IsRetryExhausted()) {
-    // Clean early stop — graceful degradation, a voluntary abort the
-    // sequential loop surfaced, or retry exhaustion. Every completed
-    // migration is committed and every rolled-back one was compensated,
-    // so the state is consistent: persist exactly how far we got
-    // (bypassing the checkpoint cadence) so a later Resume finishes the
-    // job when contention subsides.
-    Status cs =
-        MaybeCheckpoint(p, options, traversed, *plists, *stats, /*force=*/true);
+  if (result.IsDegraded() || result.IsRetryExhausted()) {
+    // Clean early stop — graceful degradation or retry exhaustion. Every
+    // completed migration is committed and every rolled-back one was
+    // compensated, so the state is consistent: persist exactly how far we
+    // got (bypassing the checkpoint cadence) so a later Resume finishes
+    // the job when contention subsides.
+    Status cs = Checkpoint(p, options, traversed, *plists, *stats);
     if (cs.IsCrashed()) return cs;
   } else if (result.ok() && options.collect_garbage) {
     // Section 4.6: everything allocated in the partition that the
@@ -352,105 +292,6 @@ Status IraReorganizer::MigrateAllAndFinish(
   return result;
 }
 
-Status IraReorganizer::MigrateSequential(
-    PartitionId p, RelocationPlanner* planner, const IraOptions& options,
-    const std::unordered_set<ObjectId>& traversed,
-    const std::vector<ObjectId>& objects, MigratedSet* migrated,
-    ParentLists* plists, ReorgStats* stats) {
-  MigratorState ws;
-  Status result = Status::Ok();
-  // A worklist rather than a plain loop: a deadlock-victim abort rolls
-  // the whole open group back, un-migrating members whose loop positions
-  // had already passed — they re-enter here for another pass, the way the
-  // parallel pipe Reinjects them.
-  std::deque<std::pair<ObjectId, uint32_t>> work;  // (oid, attempt)
-  for (ObjectId oid : objects) work.emplace_back(oid, 0);
-  while (!work.empty()) {
-    const auto [oid, attempt] = work.front();
-    work.pop_front();
-    AtomicMax(&stats->trt_peak_size, ctx_.trt->Size());
-    if (!ctx_.store->Validate(oid)) continue;  // defensive: already gone
-    Status s = options.two_lock_mode
-                   ? MigrateTwoLock(oid, p, planner, options,
-                                    /*defer_on_conflict=*/false, migrated,
-                                    plists, stats)
-                   : MigrateBasic(oid, p, planner, options, &ws,
-                                  /*defer_on_conflict=*/false, migrated,
-                                  plists, stats);
-    if (s.IsDeadlockVictim()) {
-      // Chosen to break a waits-for cycle. The callee aborted and
-      // compensated everything it had in flight; requeue it plus whatever
-      // the group rollback undid. No budget charge, no lock_timeouts
-      // tally — the cycle was broken surgically, no timeout was burned.
-      if (attempt + 1 >= options.max_retries_per_object) {
-        result = Status::RetryExhausted(
-            "gave up migrating " + oid.ToString() + " after " +
-            std::to_string(options.max_retries_per_object) +
-            " victim aborts");
-        break;
-      }
-      for (ObjectId o : ws.side_effects.TakeRolledBackMigrations()) {
-        if (o != oid) work.emplace_back(o, 0);
-      }
-      work.emplace_back(oid, attempt + 1);
-      continue;
-    }
-    if (!s.ok()) {
-      result = s;
-      break;
-    }
-    result = MaybeCheckpoint(p, options, traversed, *plists, *stats,
-                             /*force=*/false, &ws);
-    if (!result.ok()) break;
-  }
-  // Degraded / retry-exhausted / error exits commit the open group: it
-  // only ever holds whole completed migrations, so committing (made
-  // durable by the exit barrier in MigrateAllAndFinish) keeps the finished
-  // work and releases the reorganizer's locks. A simulated crash abandons
-  // it; an Aborted result rolls it back.
-  return CloseGroup(&ws, result, stats);
-}
-
-Status IraReorganizer::MigrateParallel(
-    PartitionId p, RelocationPlanner* planner, const IraOptions& options,
-    const std::unordered_set<ObjectId>& traversed,
-    const std::vector<ObjectId>& objects, MigratedSet* migrated,
-    ParentLists* plists, ReorgStats* stats) {
-  MigrationPipe::Options popt;
-  popt.workers = options.num_workers;
-  popt.checkpoint_every =
-      options.checkpoint_sink != nullptr ? options.checkpoint_every : 0;
-  popt.adaptive = options.adaptive_workers;
-  MigrationPipe pipe(objects, popt);
-  if (options.claim_wakeup) {
-    std::lock_guard<std::mutex> g(claims_mu_);
-    wake_pipe_ = &pipe;
-  }
-  if (options.throttle != nullptr) {
-    options.throttle->AttachPipe(&pipe, options.num_workers);
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(options.num_workers);
-  for (uint32_t i = 0; i < options.num_workers; ++i) {
-    workers.emplace_back([&] {
-      WorkerMain(&pipe, p, planner, options, traversed, migrated, plists,
-                 stats);
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  if (options.throttle != nullptr) options.throttle->DetachPipe(&pipe);
-  {
-    std::lock_guard<std::mutex> g(claims_mu_);
-    wake_pipe_ = nullptr;
-  }
-  // Pipe-local scheduling counters fold into the run's stats after the
-  // join (the pipe dies with this frame).
-  stats->claim_wakeups += pipe.claim_wakeups();
-  stats->workers_shed += pipe.workers_shed();
-  stats->workers_added += pipe.workers_added();
-  return pipe.result();
-}
-
 void IraReorganizer::WorkerMain(MigrationPipe* pipe, PartitionId p,
                                 RelocationPlanner* planner,
                                 const IraOptions& options,
@@ -458,51 +299,80 @@ void IraReorganizer::WorkerMain(MigrationPipe* pipe, PartitionId p,
                                 MigratedSet* migrated, ParentLists* plists,
                                 ReorgStats* stats) {
   MigratorState ws;
-  // Commits the open group outside the per-item migration path (barrier,
-  // timed-out lock race, drain). A *clean* commit failure — an injected
-  // abort at a commit site — already rolled the whole group back in
-  // CloseGroup, so the undone migrations re-enter the pipe and the run
-  // keeps going; only crashes and non-abort errors halt the pipeline.
-  // Which CloseGroup a scheduled abort lands on is timing-dependent, so
-  // every commit site must survive it, not just the group-size boundary.
-  auto commit_open_group = [&](bool* reinjected = nullptr) -> Status {
-    Status cs = CloseGroup(&ws, Status::Ok(), stats);
-    if (!cs.IsAborted()) return cs;
+  // Puts every migration a group rollback undid back into the pipe,
+  // charged one attempt each, so a rollback that keeps recurring (an
+  // abort armed at a commit site) still ends at the retry cap. `popped`
+  // is the item this worker holds from Pop, whose failure caused the
+  // rollback, or null when it came from closing the group between items.
+  auto retry_rolled_back = [&](const MigrationPipe::Item* popped) {
+    std::vector<MigrationPipe::Item> again;
     for (ObjectId o : ws.side_effects.TakeRolledBackMigrations()) {
-      pipe->Reinject(o, 0, std::chrono::milliseconds(0));
-      if (reinjected != nullptr) *reinjected = true;
+      if (popped == nullptr || o != popped->oid) {
+        again.push_back({o, ws.member_attempts[o] + 1});
+      }
     }
-    return Status::Ok();
+    ws.member_attempts.clear();
+    if (popped != nullptr) {
+      again.push_back({popped->oid, popped->attempt + 1});
+    }
+    for (const MigrationPipe::Item& it : again) {
+      if (it.attempt >= options.max_retries_per_object) {
+        pipe->Stop(Status::RetryExhausted(
+            "gave up migrating " + it.oid.ToString() + " after " +
+            std::to_string(options.max_retries_per_object) + " attempts"));
+        if (popped != nullptr) pipe->Done();
+        return;
+      }
+    }
+    const std::chrono::milliseconds delay =
+        popped != nullptr ? BackoffDelay(popped->attempt, options)
+                          : std::chrono::milliseconds(0);
+    for (const MigrationPipe::Item& it : again) {
+      if (popped != nullptr && it.oid == popped->oid) {
+        pipe->Requeue(it.oid, it.attempt, delay);  // balances the Pop
+      } else {
+        pipe->Reinject(it.oid, it.attempt, delay);
+      }
+    }
+  };
+  // Commits the open group outside the per-item migration path (barrier,
+  // lock timeout, drain). A *clean* commit failure — an injected abort at
+  // a commit site — already rolled the whole group back in CloseGroup, so
+  // its migrations re-enter the pipe and the run keeps going; only
+  // crashes and non-abort errors stop the pipe (returns false). Which
+  // CloseGroup a scheduled abort lands on is timing-dependent, so every
+  // commit site must survive it, not just the group-size boundary.
+  auto commit_open_group = [&]() -> bool {
+    Status cs = CloseGroup(&ws, Status::Ok(), stats);
+    if (cs.IsAborted()) {
+      retry_rolled_back(nullptr);
+      return true;
+    }
+    ws.member_attempts.clear();
+    if (!cs.ok()) {
+      pipe->Stop(cs);
+      return false;
+    }
+    return true;
   };
   for (;;) {
     MigrationPipe::Item item;
     const MigrationPipe::Next next = pipe->Pop(&item);
     if (next == MigrationPipe::Next::kStopped) break;
     if (next == MigrationPipe::Next::kDrained) {
-      // Commit the final group before leaving. If that commit aborted,
-      // the rolled-back migrations re-entered the pipe and "drained" was
-      // premature — keep popping.
-      bool reinjected = false;
-      Status cs = commit_open_group(&reinjected);
-      if (!cs.ok()) {
-        pipe->Stop(cs);
-        break;
-      }
-      if (!reinjected) break;
+      // Commit the final group before leaving, then pop again: if that
+      // commit aborted, the rolled-back migrations re-entered the pipe
+      // and "drained" was premature.
+      if (ws.group_txn == nullptr || !commit_open_group()) break;
       continue;
     }
     if (next == MigrationPipe::Next::kBarrier) {
       // Commit the open group first so the checkpoint only ever covers
       // committed migrations, then rendezvous with the other workers.
-      Status cs = commit_open_group();
-      if (!cs.ok()) {
-        pipe->Stop(cs);
-        continue;  // next Pop returns kStopped
-      }
+      if (!commit_open_group()) continue;  // next Pop returns kStopped
       if (pipe->ArriveBarrier()) {
         if (!pipe->stopped()) {
-          Status ck = MaybeCheckpoint(p, options, traversed, *plists, *stats,
-                                      /*force=*/true);
+          Status ck = Checkpoint(p, options, traversed, *plists, *stats);
           if (!ck.ok()) pipe->Stop(ck);
         }
         pipe->BarrierCut(stats->objects_migrated + options.checkpoint_every);
@@ -514,37 +384,26 @@ void IraReorganizer::WorkerMain(MigrationPipe* pipe, PartitionId p,
       pipe->Done();
       continue;
     }
-    ObjectId busy_blocker = ObjectId::Invalid();
+    ObjectId blocker = ObjectId::Invalid();
     Status s = options.two_lock_mode
-                   ? MigrateTwoLock(item.oid, p, planner, options,
-                                    /*defer_on_conflict=*/true, migrated,
-                                    plists, stats, &busy_blocker)
+                   ? MigrateTwoLock(item.oid, p, planner, options, migrated,
+                                    plists, stats, &blocker)
                    : MigrateBasic(item.oid, p, planner, options, &ws,
-                                  /*defer_on_conflict=*/true, migrated,
-                                  plists, stats, &busy_blocker);
+                                  migrated, plists, stats, &blocker);
     if (s.IsBusy()) {
       // Footprint overlap with a sibling's in-flight migration. No lock
       // wait was burned and no lock is held for this object (no retry
-      // charge: deferral is flow control, not contention). Claim-aware
-      // mode parks the item under the blocking claim — ReleaseFootprint
-      // wakes exactly these waiters; the ablation mode falls back to the
-      // blind constant-delay retry timer. Either way this worker moves
-      // on to a disjoint item.
-      pipe->NoteDeferral();
-      if (options.claim_wakeup && busy_blocker.valid()) {
-        DeferOnClaim(pipe, busy_blocker, item.oid, item.attempt);
-      } else {
-        pipe->Requeue(item.oid, item.attempt, kMigrationRequeueDelay);
-      }
+      // charge: deferral is flow control, not contention). Park the item
+      // under the blocking claim — ReleaseFootprint wakes exactly these
+      // waiters — and move on to a disjoint item.
+      DeferOnClaim(pipe, blocker, item.oid, item.attempt);
       continue;
     }
     if (s.IsTimedOut()) {
       // Lost a lock race — to a sibling worker or a user transaction.
       // Commit the open group so this worker retains no locks while the
       // object waits out its backoff, then requeue it.
-      Status cs = commit_open_group();
-      if (!cs.ok()) {
-        pipe->Stop(cs);
+      if (!commit_open_group()) {
         pipe->Done();
         continue;
       }
@@ -570,66 +429,16 @@ void IraReorganizer::WorkerMain(MigrationPipe* pipe, PartitionId p,
       pipe->Requeue(item.oid, item.attempt + 1, delay);
       continue;
     }
-    if (s.IsAborted()) {
-      // The migration transaction aborted cleanly (injected abort, a
-      // future deadlock victim): WAL undo and side-effect replay restored
-      // the pre-migration state, so the pipeline requeues instead of
-      // halting. Roll back the open group too — its earlier migrations
-      // shared the aborted path's transaction scope — and re-inject every
-      // migration the rollback undid.
+    if (s.IsAborted() || s.IsDeadlockVictim()) {
+      // The attempt rolled back cleanly: an injected or commit-time abort
+      // (WAL undo and side-effect replay restored the pre-migration
+      // state), or a waits-for victim — charged neither lock_timeouts nor
+      // the contention budget, since detection saved the timeout instead
+      // of burning one. The open group shared the attempt's transaction
+      // scope, so it rolls back too; every migration it undid is retried
+      // along with this one.
       CloseGroup(&ws, s, stats);
-      std::unordered_set<ObjectId> again;
-      again.insert(item.oid);
-      for (ObjectId o : ws.side_effects.TakeRolledBackMigrations()) {
-        again.insert(o);
-      }
-      if (item.attempt + 1 >= options.max_retries_per_object) {
-        // An unlimited-trigger abort schedule must still terminate.
-        pipe->Stop(Status::RetryExhausted(
-            "gave up migrating " + item.oid.ToString() + " after " +
-            std::to_string(options.max_retries_per_object) + " aborts"));
-        pipe->Done();
-        continue;
-      }
-      const std::chrono::milliseconds delay =
-          BackoffDelay(item.attempt, options);
-      for (ObjectId o : again) {
-        if (o == item.oid) {
-          pipe->Requeue(o, item.attempt + 1, delay);
-        } else {
-          pipe->Reinject(o, 0, delay);
-        }
-      }
-      continue;
-    }
-    if (s.IsDeadlockVictim()) {
-      // Chosen to break a waits-for cycle. The callee aborted and
-      // compensated (the open group in basic mode, the bail path in
-      // two-lock), so requeue like a clean abort — but with no
-      // lock_timeouts tally and no contention-budget charge: detection
-      // saved the timeout, it did not burn one.
-      std::unordered_set<ObjectId> again;
-      again.insert(item.oid);
-      for (ObjectId o : ws.side_effects.TakeRolledBackMigrations()) {
-        again.insert(o);
-      }
-      if (item.attempt + 1 >= options.max_retries_per_object) {
-        pipe->Stop(Status::RetryExhausted(
-            "gave up migrating " + item.oid.ToString() + " after " +
-            std::to_string(options.max_retries_per_object) +
-            " victim aborts"));
-        pipe->Done();
-        continue;
-      }
-      const std::chrono::milliseconds delay =
-          BackoffDelay(item.attempt, options);
-      for (ObjectId o : again) {
-        if (o == item.oid) {
-          pipe->Requeue(o, item.attempt + 1, delay);
-        } else {
-          pipe->Reinject(o, 0, delay);
-        }
-      }
+      retry_rolled_back(&item);
       continue;
     }
     if (!s.ok()) {
@@ -638,15 +447,18 @@ void IraReorganizer::WorkerMain(MigrationPipe* pipe, PartitionId p,
       continue;
     }
     pipe->Done();
-    pipe->NoteMigrated();
-    if (options.checkpoint_sink != nullptr && options.checkpoint_every > 0 &&
-        pipe->CheckpointDue(stats->objects_migrated)) {
+    if (ws.group_txn != nullptr) {
+      ws.member_attempts[item.oid] = item.attempt;
+    } else {
+      ws.member_attempts.clear();  // the group committed
+    }
+    if (pipe->CheckpointDue(stats->objects_migrated)) {
       pipe->RequestCheckpoint();
     }
   }
-  // Same exit semantics as the sequential loop: a crashed pipeline
-  // abandons open groups (a dead process commits nothing); any other
-  // exit commits them to keep finished migrations durable.
+  // A crashed pipeline abandons open groups (a dead process commits
+  // nothing); any other exit commits them to keep finished migrations
+  // durable.
   if (pipe->result().IsCrashed()) {
     if (ws.group_txn != nullptr) {
       ws.group_txn->Abandon();
@@ -674,15 +486,15 @@ Status IraReorganizer::CloseGroup(MigratorState* ws, Status result,
     ws->in_group = 0;
     return result;
   }
-  if (result.IsAborted()) {
-    // A voluntary abort rolls the whole open group back: the group is one
-    // transaction, so its WAL undo and side-effect replay cover every
+  if (result.IsAborted() || result.IsDeadlockVictim()) {
+    // A rolled-back attempt rolls the whole open group back: the group is
+    // one transaction, so its WAL undo and side-effect replay cover every
     // migration in it (including ones completed before the abort point —
     // their kMigrated markers land in the rolled-back list for requeue).
     if (ws->group_txn != nullptr) {
       ws->group_txn->Abort();
       ws->group_txn.reset();
-      if (stats != nullptr) ++stats->aborts_rolled_back;
+      ++stats->aborts_rolled_back;
     }
     ws->in_group = 0;
     return result;
@@ -700,7 +512,7 @@ Status IraReorganizer::CloseGroup(MigratorState* ws, Status result,
       // site): the transaction is still active — roll it back so the
       // caller sees fully-compensated state, not a half-committed one.
       ws->group_txn->Abort();
-      if (stats != nullptr) ++stats->aborts_rolled_back;
+      ++stats->aborts_rolled_back;
     }
     ws->group_txn.reset();
     if (result.ok() && !cs.ok()) result = cs;
@@ -732,30 +544,17 @@ void IraReorganizer::BackoffSleep(uint32_t attempt, const IraOptions& options,
   std::this_thread::sleep_for(delay);
 }
 
-Status IraReorganizer::MaybeCheckpoint(
-    PartitionId p, const IraOptions& options,
-    const std::unordered_set<ObjectId>& traversed, const ParentLists& plists,
-    const ReorgStats& stats, bool force, const MigratorState* ws) {
+Status IraReorganizer::Checkpoint(PartitionId p, const IraOptions& options,
+                                  const std::unordered_set<ObjectId>& traversed,
+                                  const ParentLists& plists,
+                                  const ReorgStats& stats) {
   if (options.checkpoint_sink == nullptr) return Status::Ok();
-  if (!force) {
-    if (options.checkpoint_every == 0) return Status::Ok();
-    if (stats.objects_migrated % options.checkpoint_every != 0) {
-      return Status::Ok();
-    }
-    // Checkpointed state must only cover *committed* migrations: with
-    // grouping, the open group transaction's moves would be lost by a
-    // crash, so checkpoint only at group boundaries. (A forced checkpoint
-    // is only taken after every open group has been committed — on the
-    // parallel path, at the barrier.)
-    if (ws != nullptr && ws->group_txn != nullptr && ws->in_group != 0) {
-      return Status::Ok();
-    }
-  }
   // Durability barrier (DESIGN.md §15): migrations commit without a
   // force, so make every one the checkpoint is about to cover stable
-  // first. No migration runs concurrently here (sequential loop, or all
-  // workers parked at the barrier), so the forced LSN bounds the
-  // relocation snapshot below. A crash in the force publishes nothing.
+  // first. No migration runs concurrently here (every worker is parked
+  // at the barrier, or the pipe has finished), and every open group was
+  // committed first, so the forced LSN bounds the relocation snapshot
+  // below. A crash in the force publishes nothing.
   const Lsn lsn = ctx_.log->last_lsn();
   Status fs = ctx_.log->ForceCommit(lsn);
   if (!fs.ok()) return fs;
@@ -815,7 +614,7 @@ bool IraReorganizer::TryClaimFootprint(ObjectId oid,
       conflict = footprint.count(parents[i]) > 0;
     }
     if (conflict) {
-      if (blocker != nullptr) *blocker = anchor;
+      *blocker = anchor;
       return false;
     }
   }
@@ -831,7 +630,7 @@ void IraReorganizer::ReleaseFootprint(ObjectId oid) {
   // Wake exactly the items this claim deferred — under the same mutex
   // the park was registered under, so no waiter can be stranded between
   // a failed claim and this release.
-  if (wake_pipe_ != nullptr) wake_pipe_->OnClaimReleased(oid);
+  wake_pipe_->OnClaimReleased(oid);
 }
 
 void IraReorganizer::DeferOnClaim(MigrationPipe* pipe, ObjectId blocker,
@@ -932,11 +731,11 @@ Status IraReorganizer::FindExactParents(ObjectId oid, Transaction* txn,
       }
     }
 
-    // Parallel stability check: while this worker was locking, a sibling
+    // Stability check: while this worker was locking, a sibling
     // migrating one of oid's parents P replaced P by P_new in oid's list
     // (FinishMigration's child fix-up). The set is exact only once every
     // listed parent is held — at that point all of them are pinned, so no
-    // concurrent migration can change the list anymore. Sequential runs
+    // concurrent migration can change the list anymore. One-worker runs
     // pass on the first iteration.
     bool stable = true;
     for (ObjectId r : plists->Get(oid)) {
@@ -953,174 +752,142 @@ Status IraReorganizer::FindExactParents(ObjectId oid, Transaction* txn,
 Status IraReorganizer::MigrateBasic(ObjectId oid, PartitionId p,
                                     RelocationPlanner* planner,
                                     const IraOptions& options,
-                                    MigratorState* ws, bool defer_on_conflict,
-                                    MigratedSet* migrated, ParentLists* plists,
-                                    ReorgStats* stats, ObjectId* busy_blocker) {
-  bool claimed = false;
-  auto release_claim = MakeCleanup([&] {
-    if (claimed) ReleaseFootprint(oid);
-  });
-  if (defer_on_conflict) {
-    if (!TryClaimFootprint(oid, plists->Get(oid), busy_blocker)) {
-      ++stats->claim_deferrals;
-      return Status::Busy("deferred: conflicting migration footprint at " +
-                          oid.ToString());
-    }
-    claimed = true;
+                                    MigratorState* ws, MigratedSet* migrated,
+                                    ParentLists* plists, ReorgStats* stats,
+                                    ObjectId* blocker) {
+  if (!TryClaimFootprint(oid, plists->Get(oid), blocker)) {
+    ++stats->claim_deferrals;
+    return Status::Busy("deferred: conflicting migration footprint at " +
+                        oid.ToString());
   }
-  for (uint32_t attempt = 0; attempt < options.max_retries_per_object;
-       ++attempt) {
-    if (ws->group_txn == nullptr) {
-      ws->group_txn = ctx_.txns->Begin(LogSource::kReorg);
-      ws->in_group = 0;
-      // Side-table mutations under this transaction record compensating
-      // closures; an abort replays them before the locks drop.
-      ws->side_effects.set_compensation_counter(
-          &stats->side_effects_compensated);
-      ws->group_txn->set_side_effect_log(&ws->side_effects);
-    }
-    Transaction* txn = ws->group_txn.get();
-    std::vector<ObjectId> newly_locked;
-    Status s = Status::Ok();
-    if (defer_on_conflict && !txn->Holds(oid)) {
-      // With sibling workers, basic mode must own-lock the object being
-      // migrated: FreeObject is lock-free for reorg transactions, and a
-      // sibling holding oid as a *parent* could otherwise rewrite its
-      // slots between this worker's content copy and the free.
-      s = txn->LockWithTimeout(oid, LockMode::kExclusive,
-                               options.lock_timeout);
-      if (s.ok()) {
-        newly_locked.push_back(oid);
-        if (options.wait_for_historical_lockers) {
-          WaitForHistoricalLockers(oid, txn);
-        }
-      } else if (s.IsTimedOut()) {
-        ++stats->lock_timeouts;
-      }
-    }
+  auto release_claim = MakeCleanup([&] { ReleaseFootprint(oid); });
+  if (ws->group_txn == nullptr) {
+    ws->group_txn = ctx_.txns->Begin(LogSource::kReorg);
+    ws->in_group = 0;
+    // Side-table mutations under this transaction record compensating
+    // closures; an abort replays them before the locks drop.
+    ws->side_effects.set_compensation_counter(
+        &stats->side_effects_compensated);
+    ws->group_txn->set_side_effect_log(&ws->side_effects);
+  }
+  Transaction* txn = ws->group_txn.get();
+  std::vector<ObjectId> newly_locked;
+  Status s = Status::Ok();
+  if (options.num_workers > 1 && !txn->Holds(oid)) {
+    // With sibling workers, basic mode must own-lock the object being
+    // migrated: FreeObject is lock-free for reorg transactions, and a
+    // sibling holding oid as a *parent* could otherwise rewrite its
+    // slots between this worker's content copy and the free. One worker
+    // keeps the paper's parents-only locking.
+    s = txn->LockWithTimeout(oid, LockMode::kExclusive, options.lock_timeout);
     if (s.ok()) {
-      s = FindExactParents(oid, txn, options, plists, &newly_locked, stats);
+      newly_locked.push_back(oid);
+      if (options.wait_for_historical_lockers) {
+        WaitForHistoricalLockers(oid, txn);
+      }
+    } else if (s.IsTimedOut()) {
+      ++stats->lock_timeouts;
     }
-    if (s.IsTimedOut()) {
-      // Release only this object's locks and re-run Find_Exact_Parents
-      // (the paper: it must be reinvoked if it fails due to a deadlock).
-      for (ObjectId l : newly_locked) txn->Unlock(l);
-      ++stats->find_exact_retries;
-      if (defer_on_conflict) {
-        // Parallel pipeline: the caller requeues the object with backoff
-        // (and owns the budget / retry-exhaustion checks).
-        return s;
-      }
-      if (BudgetExhausted(options, *stats)) {
-        // Clean point: no locks held for this object; the group only
-        // holds whole completed migrations.
-        return Status::Degraded("contention budget exhausted at " +
-                                oid.ToString());
-      }
-      if (attempt + 1 < options.max_retries_per_object) {
-        BackoffSleep(attempt, options, stats);
-      }
-      continue;
-    }
-    if (s.IsDeadlockVictim()) {
-      // Selected to break a waits-for cycle: the cycle runs through locks
-      // this group transaction HOLDS, so unlocking just this object's new
-      // locks would not break it — abort the whole group. WAL undo plus
-      // side-effect replay restore every member and release every lock;
-      // the caller requeues the rolled-back migrations. Deliberately not
-      // charged to lock_timeouts or the contention budget.
+  }
+  if (s.ok()) {
+    s = FindExactParents(oid, txn, options, plists, &newly_locked, stats);
+  }
+  if (s.IsTimedOut()) {
+    // Release only this object's locks; the caller re-runs
+    // Find_Exact_Parents after a backoff (the paper: it must be
+    // reinvoked if it fails due to a deadlock).
+    for (ObjectId l : newly_locked) txn->Unlock(l);
+    ++stats->find_exact_retries;
+    return s;
+  }
+  if (s.IsDeadlockVictim()) {
+    // Selected to break a waits-for cycle: the cycle runs through locks
+    // this group transaction HOLDS, so unlocking just this object's new
+    // locks would not break it — abort the whole group. WAL undo plus
+    // side-effect replay restore every member and release every lock;
+    // the caller requeues the rolled-back migrations. Deliberately not
+    // charged to lock_timeouts or the contention budget.
+    ws->group_txn->Abort();
+    ++stats->aborts_rolled_back;
+    ws->group_txn.reset();
+    ws->in_group = 0;
+    return s;
+  }
+  if (!s.ok()) return s;
+  // Crash here: exact parents locked, nothing moved yet. Recovery sees
+  // only completed (uncommitted) group work, which it undoes.
+  BRAHMA_FAILPOINT("ira:basic:after-parent-locks");
+
+  ObjectId onew;
+  s = MoveObjectAndUpdateRefs(ctx_, txn, oid, planner, plists->Get(oid), p,
+                              migrated, plists, stats, &onew);
+  if (!s.ok()) {
+    if (s.IsCrashed()) {
+      ws->group_txn->Abandon();
+    } else {
+      // Clean rollback: WAL undo restores object state, the side-effect
+      // replay (triggered inside Abort, before lock release) restores
+      // the side tables — including earlier migrations of this group.
       ws->group_txn->Abort();
       ++stats->aborts_rolled_back;
-      ws->group_txn.reset();
-      ws->in_group = 0;
-      return s;
     }
-    if (!s.ok()) return s;
-    // Crash here: exact parents locked, nothing moved yet. Recovery sees
-    // only completed (uncommitted) group work, which it undoes.
-    BRAHMA_FAILPOINT("ira:basic:after-parent-locks");
-
-    ObjectId onew;
-    s = MoveObjectAndUpdateRefs(ctx_, txn, oid, planner, plists->Get(oid), p,
-                                migrated, plists, stats, &onew);
-    if (!s.ok()) {
-      if (s.IsCrashed()) {
-        ws->group_txn->Abandon();
-      } else {
-        // Clean rollback: WAL undo restores object state, the side-effect
-        // replay (triggered inside Abort, before lock release) restores
-        // the side tables — including earlier migrations of this group.
-        ws->group_txn->Abort();
-        ++stats->aborts_rolled_back;
-      }
-      ws->group_txn.reset();
-      ws->in_group = 0;
-      return s;
-    }
-    migrated->Insert(oid);
-    RecordReverseRelocation(onew, oid);
-    {
-      // The migration markers roll back with the group: replaying this
-      // entry un-migrates the object and reports it for requeue.
-      IraReorganizer* self = this;
-      MigratedSet* mset = migrated;
-      ws->side_effects.RecordMigrated(txn->id(), oid,
-                                      [self, mset, oid, onew] {
-                                        mset->Erase(oid);
-                                        std::lock_guard<std::mutex> g(
-                                            self->reloc_mu_);
-                                        self->reverse_relocation_.erase(onew);
-                                      });
-    }
-    AtomicMax(&stats->max_distinct_objects_locked, txn->num_locks_held());
-    if (++ws->in_group >= options.group_size) {
-      // Crash here: the whole group's migrations are in the log without
-      // a commit record — recovery rolls them all back.
-      BRAHMA_FAILPOINT("ira:basic:before-commit");
-      Status cs = ws->group_txn->CommitDeferred();
-      if (cs.IsCrashed()) {
-        ws->group_txn->Abandon();
-      } else if (!cs.ok()) {
-        // The commit itself failed cleanly (injected abort at a commit
-        // site): the transaction is still active — roll it back so the
-        // caller sees fully-compensated state, not a half-committed one.
-        ws->group_txn->Abort();
-        ++stats->aborts_rolled_back;
-      }
-      ws->group_txn.reset();
-      ws->in_group = 0;
-      if (!cs.ok()) return cs;
-    }
-    return Status::Ok();
+    ws->group_txn.reset();
+    ws->in_group = 0;
+    return s;
   }
-  return Status::RetryExhausted(
-      "gave up migrating " + oid.ToString() + " after " +
-      std::to_string(options.max_retries_per_object) + " retries");
+  migrated->Insert(oid);
+  RecordReverseRelocation(onew, oid);
+  {
+    // The migration markers roll back with the group: replaying this
+    // entry un-migrates the object and reports it for requeue.
+    IraReorganizer* self = this;
+    MigratedSet* mset = migrated;
+    ws->side_effects.RecordMigrated(txn->id(), oid,
+                                    [self, mset, oid, onew] {
+                                      mset->Erase(oid);
+                                      std::lock_guard<std::mutex> g(
+                                          self->reloc_mu_);
+                                      self->reverse_relocation_.erase(onew);
+                                    });
+  }
+  AtomicMax(&stats->max_distinct_objects_locked, txn->num_locks_held());
+  if (++ws->in_group >= options.group_size) {
+    // Crash here: the whole group's migrations are in the log without
+    // a commit record — recovery rolls them all back.
+    BRAHMA_FAILPOINT("ira:basic:before-commit");
+    Status cs = ws->group_txn->CommitDeferred();
+    if (cs.IsCrashed()) {
+      ws->group_txn->Abandon();
+    } else if (!cs.ok()) {
+      // The commit itself failed cleanly (injected abort at a commit
+      // site): the transaction is still active — roll it back so the
+      // caller sees fully-compensated state, not a half-committed one.
+      ws->group_txn->Abort();
+      ++stats->aborts_rolled_back;
+    }
+    ws->group_txn.reset();
+    ws->in_group = 0;
+    if (!cs.ok()) return cs;
+  }
+  return Status::Ok();
 }
 
 Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
                                       RelocationPlanner* planner,
                                       const IraOptions& options,
-                                      bool defer_on_conflict,
                                       MigratedSet* migrated,
                                       ParentLists* plists, ReorgStats* stats,
-                                      ObjectId* busy_blocker) {
-  bool claimed = false;
-  auto release_claim = MakeCleanup([&] {
-    if (claimed) ReleaseFootprint(oid);
-  });
-  if (defer_on_conflict) {
-    // Claim before taking any lock: anchor locks are held to completion,
-    // so overlapping in-flight migrations could wait on each other
-    // forever (or at best serialize on a shared parent). A footprint
-    // conflict defers instantly instead of burning a lock wait.
-    if (!TryClaimFootprint(oid, plists->Get(oid), busy_blocker)) {
-      ++stats->claim_deferrals;
-      return Status::Busy("deferred: conflicting migration footprint at " +
-                          oid.ToString());
-    }
-    claimed = true;
+                                      ObjectId* blocker) {
+  // Claim before taking any lock: anchor locks are held to completion,
+  // so overlapping in-flight migrations could wait on each other forever
+  // (or at best serialize on a shared parent). A footprint conflict
+  // defers instantly instead of burning a lock wait.
+  if (!TryClaimFootprint(oid, plists->Get(oid), blocker)) {
+    ++stats->claim_deferrals;
+    return Status::Busy("deferred: conflicting migration footprint at " +
+                        oid.ToString());
   }
+  auto release_claim = MakeCleanup([&] { ReleaseFootprint(oid); });
   // Compensation log for this migration. Two-lock mode commits O_new's
   // create and the parent rewrites in their own transactions mid-flight,
   // so rolling the migration back needs two phases: pending replay for
@@ -1132,46 +899,25 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
 
   // Anchor transaction: lock the object being migrated, in both the old
   // and (once created) the new location, for the whole migration.
-  std::unique_ptr<Transaction> anchor;
-  for (uint32_t attempt = 0;; ++attempt) {
-    if (attempt >= options.max_retries_per_object) {
-      return Status::RetryExhausted("gave up locking " + oid.ToString());
-    }
-    anchor = ctx_.txns->Begin(LogSource::kReorg);
+  std::unique_ptr<Transaction> anchor = ctx_.txns->Begin(LogSource::kReorg);
+  {
     Status s = anchor->LockWithTimeout(oid, LockMode::kExclusive,
                                        options.lock_timeout);
-    if (s.ok()) break;
     if (s.IsCrashed()) {
       anchor->Abandon();
       return s;
     }
-    if (s.IsDeadlockVictim()) {
-      // Broke a waits-for cycle before holding anything for this object:
-      // abort the empty anchor and retry in place (sequential) or let the
-      // pipeline requeue (parallel). No timeout burned, so neither
-      // lock_timeouts nor the contention budget is charged.
-      anchor->Abort();
-      if (defer_on_conflict) return s;
-      continue;
-    }
-    ++stats->lock_timeouts;
-    anchor->Abort();
-    if (defer_on_conflict) {
-      // Parallel pipeline: requeue with backoff instead of spinning here
-      // (the caller owns the budget / retry-exhaustion checks).
-      return s;
-    }
-    if (BudgetExhausted(options, *stats)) {
-      // The only degradation point in two-lock mode: nothing has happened
-      // for this object yet, so stopping here leaves no dual-copy state.
-      // (Mid-object contention keeps retrying to max_retries_per_object:
+    if (!s.ok()) {
+      // Nothing has happened for this object yet, so the caller can
+      // requeue it — or stop on the contention budget — without leaving
+      // dual-copy state; this is two-lock mode's only such point.
+      // (Mid-object contention retries in place in process_parent:
       // giving up after O_new commits would leave both copies reachable
-      // with no crash-recovery pass scheduled to fold them.)
-      return Status::Degraded("contention budget exhausted at " +
-                              oid.ToString());
-    }
-    if (attempt + 1 < options.max_retries_per_object) {
-      BackoffSleep(attempt, options, stats);
+      // with no crash-recovery pass scheduled to fold them.) A waits-for
+      // victim burned no timeout, so it is not charged to lock_timeouts.
+      if (!s.IsDeadlockVictim()) ++stats->lock_timeouts;
+      anchor->Abort();
+      return s;
     }
   }
   anchor->set_side_effect_log(&sel);
@@ -1387,9 +1133,8 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
                                                ctx_.txns->ctx().lock_timeout);
                 // Compensation runs under ScopedSuppress, so its profile
                 // is no_victim and the detector will not pick it; the
-                // victim check is defensive (fast-fail/wait-die could
-                // still cancel it) — retrying is always safe here because
-                // t holds at most this one lock.
+                // victim check is defensive — retrying is always safe
+                // here because t holds at most this one lock.
                 if (ls.IsTimedOut() || ls.IsDeadlockVictim()) continue;
                 if (!ls.ok()) {
                   t->Abort();
@@ -1400,6 +1145,11 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
                   if (ResolveRelocated(*ctx_.store, *stats, rr) == rr) break;
                   continue;
                 }
+                // As in the forward rewrite: user writers of rr that
+                // finished before the lock was granted must reach the
+                // ERTs first, or their analyzed edits would land after
+                // (and undo) this rewrite's ERT adjustment.
+                ctx_.analyzer->Sync();
                 Status rs = RewriteParentEdge(ctx_, t.get(), rr, onew, oid,
                                               onew.partition(), nullptr);
                 if (!rs.ok()) {

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -19,6 +20,7 @@ namespace brahma {
 
 class MigrationPipe;
 class ReorgThrottle;
+struct TraversalResult;
 
 // Knobs for the Incremental Reorganization Algorithm.
 struct IraOptions {
@@ -51,8 +53,9 @@ struct IraOptions {
   // with user transactions are broken by timeout, Section 5).
   std::chrono::milliseconds lock_timeout = kPaperLockTimeout;
 
-  // Safety valve on Find_Exact_Parents retries per object. Exhausting it
-  // returns Status::RetryExhausted with no reorganizer locks left held.
+  // Safety valve on migration attempts per object (lock-timeout retries
+  // and rolled-back attempts alike). Exhausting it returns
+  // Status::RetryExhausted with no reorganizer locks left held.
   uint32_t max_retries_per_object = 10000;
 
   // Exponential backoff between lock-timeout retries: sleep
@@ -68,8 +71,8 @@ struct IraOptions {
   // Run/Resume return Status::Degraded. Completed migrations stay
   // durable; a later Resume from the checkpoint finishes the job when
   // contention subsides. 0 = unlimited (retry until
-  // max_retries_per_object per object). With num_workers > 1 the budget
-  // aggregates timeouts across all workers.
+  // max_retries_per_object per object). The budget aggregates timeouts
+  // across all workers.
   uint64_t contention_budget = 0;
 
   // Section 4.4: checkpoint the reorganization state (Traversed_Objects,
@@ -79,44 +82,22 @@ struct IraOptions {
   ReorgCheckpoint* checkpoint_sink = nullptr;
   uint32_t checkpoint_every = 0;
 
-  // Parallel migration pipeline: number of migrator worker threads fed
-  // from a shared work queue over the planner's order. 1 (default) runs
-  // the classic sequential loop. With N > 1, each worker drives its own
-  // reorg transaction through the same MigrateBasic / MigrateTwoLock
-  // paths; a worker losing a lock race to a sibling defers — it requeues
-  // the object with exponential backoff instead of blocking the pipeline.
+  // Migrator worker threads fed from a shared work queue (MigrationPipe)
+  // over the planner's order; 1 (default) is the paper's one-object-at-
+  // a-time loop. Each worker drives its own reorg transaction through
+  // MigrateBasic / MigrateTwoLock; a migration that loses a lock race is
+  // requeued with exponential backoff instead of blocking the worker.
   // Checkpoints are taken at a barrier so they snapshot a consistent
   // prefix (no worker is mid-group while the snapshot is cut).
   uint32_t num_workers = 1;
 
-  // Claim-aware wakeup (parallel pipeline): a migration deferred by a
-  // footprint conflict parks under the blocking claim and is woken the
-  // instant ReleaseFootprint drops that claim, instead of polling on the
-  // blind kMigrationRequeueDelay timer. Off = the PR 2 retry-timer
-  // behavior (kept as a bench ablation knob).
-  bool claim_wakeup = true;
-
-  // Adaptive worker control (parallel pipeline): shed a worker when the
-  // windowed claim_deferrals : objects_migrated ratio says the remaining
-  // clusters are too entangled to parallelize, add one back when
-  // deferrals fade. Thresholds come from params.h (kAdaptive*).
-  bool adaptive_workers = false;
-
-  // SLO-driven admission control (DESIGN.md §14): when set, the parallel
-  // pipeline's worker count is additionally capped by this throttle —
-  // the serving layer feeds it live user-latency samples and it sheds or
-  // paces migration workers whenever the sliding-window p99 exceeds the
-  // SLO. Ignored by the sequential path (num_workers <= 1). The pointer
-  // must outlive Run/Resume.
+  // SLO-driven admission control (DESIGN.md §14): when set, the run's
+  // worker count is capped by this throttle — the serving layer feeds it
+  // live user-latency samples and it sheds or pauses migration workers
+  // whenever the sliding-window p99 exceeds the SLO. Applies at any
+  // num_workers (a cap of 0 parks even a single worker). The pointer must
+  // outlive Run/Resume.
   ReorgThrottle* throttle = nullptr;
-
-  // Ablation knob: run this reorganization under wait-die deadlock
-  // handling instead of the session's DeadlockPolicy (the non-graph
-  // baseline for bench_deadlock). The LockManager policy is switched for
-  // the duration of Run/Resume and restored on exit — note it is a
-  // process-wide setting, so concurrent user transactions feel it too,
-  // exactly like the real knob would behave.
-  bool wait_die = false;
 };
 
 // The Incremental Reorganization Algorithm (paper Section 3): migrates
@@ -154,49 +135,42 @@ class IraReorganizer {
   }
 
  private:
-  friend class MigrationPipe;
-
-  // Per-worker migration state: the open Section 4.3 group transaction
-  // and the compensation log its side effects are recorded in. The
-  // sequential path uses a single instance; the parallel pipeline gives
-  // each worker its own.
+  // Per-worker migration state: the open Section 4.3 group transaction,
+  // the compensation log its side effects are recorded in, and the retry
+  // attempt each member migration had reached (so a group rollback can
+  // charge every member one more attempt).
   struct MigratorState {
     std::unique_ptr<Transaction> group_txn;
     uint32_t in_group = 0;
     SideEffectLog side_effects;
+    std::unordered_map<ObjectId, uint32_t> member_attempts;
   };
 
-  // Shared second step: migrate `objects` (skipping already-migrated /
-  // freed ones), then optionally sweep garbage, disable the TRT, and force
-  // the log once — the run's durability barrier.
+  // Produces a run's starting point: the traversal state and the objects
+  // already migrated (none for Run; the checkpointed ones for Resume).
+  using Seed = std::function<void(TraversalResult*, MigratedSet*)>;
+
+  // The body Run and Resume share: checks the options, seeds, migrates
+  // every traversed object not yet migrated in planner order, and folds
+  // the shared subsystems' counter deltas into *stats.
+  Status Reorganize(PartitionId p, RelocationPlanner* planner,
+                    const IraOptions& options, ReorgStats* stats,
+                    const Seed& seed);
+
+  // Migrates `objects` through a pipe of options.num_workers workers,
+  // then optionally sweeps garbage, disables the TRT, and forces the log
+  // once — the run's durability barrier. Returns the first non-ok status
+  // any worker hit (crash wins over everything else).
   Status MigrateAllAndFinish(PartitionId p, RelocationPlanner* planner,
                              const IraOptions& options,
                              const std::unordered_set<ObjectId>& traversed,
-                             std::vector<ObjectId> objects,
+                             const std::vector<ObjectId>& objects,
                              MigratedSet* migrated, ParentLists* plists,
                              ReorgStats* stats);
 
-  // Sequential migration loop (num_workers <= 1): today's behavior.
-  Status MigrateSequential(PartitionId p, RelocationPlanner* planner,
-                           const IraOptions& options,
-                           const std::unordered_set<ObjectId>& traversed,
-                           const std::vector<ObjectId>& objects,
-                           MigratedSet* migrated, ParentLists* plists,
-                           ReorgStats* stats);
-
-  // Parallel migration pipeline (num_workers > 1): a work-stealing queue
-  // over the planner's order feeds N migrator workers. Returns the first
-  // non-ok status any worker hit (crash wins over everything else).
-  Status MigrateParallel(PartitionId p, RelocationPlanner* planner,
-                         const IraOptions& options,
-                         const std::unordered_set<ObjectId>& traversed,
-                         const std::vector<ObjectId>& objects,
-                         MigratedSet* migrated, ParentLists* plists,
-                         ReorgStats* stats);
-
   // One migrator worker: pops objects from the pipe, migrates them via
-  // MigrateBasic / MigrateTwoLock with defer-on-conflict, requeues losers
-  // with backoff, and participates in checkpoint barriers.
+  // MigrateBasic / MigrateTwoLock, requeues losers with backoff (the one
+  // retry policy), and participates in checkpoint barriers.
   void WorkerMain(MigrationPipe* pipe, PartitionId p,
                   RelocationPlanner* planner, const IraOptions& options,
                   const std::unordered_set<ObjectId>& traversed,
@@ -205,24 +179,23 @@ class IraReorganizer {
 
   // Commits ws's open group and folds the commit status into `result`.
   // A crashed result abandons the group (a dead process commits nothing);
-  // an Aborted result rolls the whole open group back — its transaction
-  // aborts, replaying the group's side effects (accounted in *stats when
-  // provided).
+  // an Aborted or DeadlockVictim result rolls the whole open group back —
+  // its transaction aborts, replaying the group's side effects.
   static Status CloseGroup(MigratorState* ws, Status result,
-                           ReorgStats* stats = nullptr);
+                           ReorgStats* stats);
 
-  // Publishes a Section 4.4 checkpoint into options.checkpoint_sink when
-  // one is due (always when force is set). Forces the log first, so a
-  // checkpoint never covers an unforced migration; returns the force's
-  // failure (a crash) without publishing.
-  Status MaybeCheckpoint(PartitionId p, const IraOptions& options,
-                         const std::unordered_set<ObjectId>& traversed,
-                         const ParentLists& plists, const ReorgStats& stats,
-                         bool force = false,
-                         const MigratorState* ws = nullptr);
+  // Publishes a Section 4.4 checkpoint into options.checkpoint_sink, if
+  // set. Callers guarantee no migration is in flight. Forces the log
+  // first, so a checkpoint never covers an unforced migration; returns
+  // the force's failure (a crash) without publishing.
+  Status Checkpoint(PartitionId p, const IraOptions& options,
+                    const std::unordered_set<ObjectId>& traversed,
+                    const ParentLists& plists, const ReorgStats& stats);
 
   // Sleeps the exponential-backoff delay for the given retry attempt and
-  // accounts for it in stats. No-op when backoff is disabled.
+  // accounts for it in stats. No-op when backoff is disabled. Only the
+  // two-lock parent loop retries in place (O_new is already committed
+  // there); every other retry goes back through the pipe.
   void BackoffSleep(uint32_t attempt, const IraOptions& options,
                     ReorgStats* stats);
 
@@ -244,38 +217,34 @@ class IraReorganizer {
                           std::vector<ObjectId>* newly_locked,
                           ReorgStats* stats);
 
-  // defer_on_conflict (parallel pipeline): a lock timeout returns
-  // Status::TimedOut immediately — with every lock taken for this object
-  // released and the open group committed — instead of retrying
-  // internally, so the caller can requeue the object with backoff. A
-  // footprint conflict returns Status::Busy with *busy_blocker naming
-  // the anchor of the claim that blocked it (when non-null), so the
-  // pipeline can park the item under exactly that claim.
+  // One migration attempt. A lock timeout returns Status::TimedOut with
+  // every lock taken for this object released; a waits-for victim or a
+  // clean abort returns DeadlockVictim / Aborted with the attempt rolled
+  // back; WorkerMain requeues all three. A footprint conflict returns
+  // Status::Busy with *blocker naming the anchor of the claim that
+  // blocked it, so the pipe can park the item under exactly that claim.
   Status MigrateBasic(ObjectId oid, PartitionId p, RelocationPlanner* planner,
                       const IraOptions& options, MigratorState* ws,
-                      bool defer_on_conflict, MigratedSet* migrated,
-                      ParentLists* plists, ReorgStats* stats,
-                      ObjectId* busy_blocker = nullptr);
+                      MigratedSet* migrated, ParentLists* plists,
+                      ReorgStats* stats, ObjectId* blocker);
 
   Status MigrateTwoLock(ObjectId oid, PartitionId p,
                         RelocationPlanner* planner, const IraOptions& options,
-                        bool defer_on_conflict, MigratedSet* migrated,
-                        ParentLists* plists, ReorgStats* stats,
-                        ObjectId* busy_blocker = nullptr);
+                        MigratedSet* migrated, ParentLists* plists,
+                        ReorgStats* stats, ObjectId* blocker);
 
-  // Parallel deadlock/livelock avoidance: a migration claims its anchor
-  // and its initial parent snapshot before taking any lock; two claims
+  // Worker-worker deadlock/livelock avoidance: a migration claims its
+  // anchor and its initial parent snapshot before taking any lock; two claims
   // conflict iff their footprints intersect. Disjoint footprints mean no
   // two in-flight migrations ever wait on each other's locks — no
   // worker-worker deadlock, and cluster siblings (which share a tree
   // parent, and are adjacent in the traversal-ordered queue) defer
   // instead of serializing on the shared parent for a full migration
   // apiece. The loser returns false with *blocker naming the conflicting
-  // claim's anchor (when non-null); the pipeline parks the object under
-  // that claim (claim_wakeup) or requeues it with a short constant delay
-  // (ablation mode) — either way, no retry charge.
+  // claim's anchor; the pipe parks the object under that claim, with no
+  // retry charge. With one worker every claim succeeds.
   bool TryClaimFootprint(ObjectId oid, const std::vector<ObjectId>& parents,
-                         ObjectId* blocker = nullptr);
+                         ObjectId* blocker);
   void ReleaseFootprint(ObjectId oid);
 
   // Registers a Busy-deferred item with the pipe. Parks it under its
@@ -305,7 +274,7 @@ class IraReorganizer {
   std::mutex claims_mu_;
   std::unordered_map<ObjectId, std::unordered_set<ObjectId>> claims_;
   // Pipe to notify when a claim drops (claim-aware wakeup). Set by
-  // MigrateParallel for the run's duration; guarded by claims_mu_. Lock
+  // MigrateAllAndFinish for the run's duration; guarded by claims_mu_. Lock
   // order is strictly claims_mu_ -> pipe mutex (the pipe never calls
   // back into the reorganizer), so release-and-wake is race-free.
   MigrationPipe* wake_pipe_ = nullptr;

@@ -18,8 +18,7 @@ struct ReorgThrottleOptions {
   // The SLO: sliding-window p99 of user request latency must stay at or
   // below this. Above it the throttle sheds one migration worker per
   // control decision; at or below slo_p99_ms * resume_fraction it adds
-  // one back (the gap is hysteresis, like the pipe's own adaptive
-  // controller).
+  // one back (the gap is hysteresis).
   double slo_p99_ms = 50.0;
   double resume_fraction = 0.8;
   // Control setpoint as a fraction of the SLO. A governor that sheds
@@ -55,16 +54,15 @@ struct ReorgThrottleOptions {
   uint32_t initial_workers = 0;
 };
 
-// Sliding-window p99 governor over the parallel migration pipeline.
+// Sliding-window p99 governor over an IRA run's migration pipe.
 //
 // The server's request workers call Record() with each completed user
 // operation's latency; the reorganizer attaches its MigrationPipe for
 // the duration of a run (IraOptions::throttle). Every eval_every
 // samples the throttle compares the window p99 against the SLO and
-// steps the pipe's external worker cap down or up one worker at a time
-// — the same park/resume mechanism the pipe's own adaptive controller
-// uses (MigrationPipe::SetWorkerCap), so a capped worker holds no locks
-// or claims and still participates in checkpoint barriers.
+// steps the pipe's worker cap down or up one worker at a time
+// (MigrationPipe::SetWorkerCap), so a capped worker holds no locks or
+// claims and still participates in checkpoint barriers.
 //
 // Thread-safe: Record arrives from N server workers concurrently while
 // the reorganizer attaches/detaches from its own thread.
@@ -75,8 +73,8 @@ class ReorgThrottle {
   // One completed user operation took latency_ms (queue wait included).
   void Record(double latency_ms);
 
-  // Reorganization lifecycle (called by IraReorganizer::MigrateParallel
-  // when IraOptions::throttle is set). Attach resets the cap to
+  // Reorganization lifecycle (called by IraReorganizer around its
+  // migration pipe when IraOptions::throttle is set). Attach resets the cap to
   // max_workers (or initial_workers when set) — by default each run
   // starts optimistic and sheds on evidence.
   void AttachPipe(MigrationPipe* pipe, uint32_t max_workers);

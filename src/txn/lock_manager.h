@@ -30,8 +30,8 @@ enum class LockMode : uint8_t { kShared, kExclusive };
 // layered underneath it: a blocked Acquire registers in a waits-for
 // registry and, after kDeadlockDetectGrace, runs DFS cycle detection over
 // the merged per-shard wait queues. On a cycle the cheapest member
-// (VictimPolicy; reorg transactions before user transactions) has its
-// pending request cancelled and its Acquire returns
+// (deadlock::SelectVictim; reorg transactions before user transactions)
+// has its pending request cancelled and its Acquire returns
 // Status::DeadlockVictim — held locks intact, no timeout burned; the
 // caller aborts (compensated, §8) and retries. The timeout remains the
 // backstop for anything detection declines (all-no_victim cycles, cycles
@@ -81,20 +81,13 @@ class LockManager {
   DeadlockPolicy deadlock_policy() const {
     return deadlock_policy_.load(std::memory_order_relaxed);
   }
-  void set_victim_policy(VictimPolicy p) {
-    victim_policy_.store(p, std::memory_order_relaxed);
-  }
-  VictimPolicy victim_policy() const {
-    return victim_policy_.load(std::memory_order_relaxed);
-  }
 
-  // Waits-for cycles broken (graph detection and upgrade fast-fail; not
-  // wait-die deaths, which kill without evidence of a cycle).
+  // Waits-for cycles broken (graph detection and upgrade fast-fail).
   uint64_t deadlocks_detected() const { return deadlocks_detected_.load(); }
   // Acquires cancelled with Status::DeadlockVictim, however chosen
-  // (detector, fast-fail, wait-die), and the subset whose profile was a
-  // user transaction (tests assert this stays 0 when a reorg txn was
-  // available in every cycle).
+  // (detector or fast-fail), and the subset whose profile was a user
+  // transaction (tests assert this stays 0 when a reorg txn was available
+  // in every cycle).
   uint64_t victims_aborted() const { return victims_aborted_.load(); }
   uint64_t user_victims() const { return user_victims_.load(); }
   // Cumulative lock-wait the victims did NOT burn: remaining time until
@@ -173,8 +166,8 @@ class LockManager {
 
   // Removes txn's pending request from entry — an upgrade reverts to its
   // originally held mode, a fresh request is erased — then re-grants and
-  // prunes the entry if empty. The single exit path shared by timeout,
-  // deadlock-victim and wait-die cancellation, so none of them can leave
+  // prunes the entry if empty. The single exit path shared by timeout
+  // and deadlock-victim cancellation, so neither can leave
   // a strengthened waiter or an empty entry behind. Caller holds the
   // shard mutex.
   void WithdrawRequest(Shard& shard, LockEntry* entry, ObjectId oid,
@@ -193,17 +186,10 @@ class LockManager {
   // graph_mu_.
   void RunDetection(TxnId self);
 
-  // Wait-die: may `mine` keep waiting? Dies (returns true) when younger
-  // (larger TxnId) than any incompatible holder. Re-evaluated on every
-  // wakeup, not just at block time, so grant reshuffles cannot leave a
-  // young-waits-for-old edge in place. Caller holds the shard mutex.
-  bool WaitDieShouldDie(const LockEntry& entry, const Request& mine) const;
-
   std::vector<Shard> shards_;
   bool history_enabled_ = false;
 
   std::atomic<DeadlockPolicy> deadlock_policy_{kDefaultDeadlockPolicy};
-  std::atomic<VictimPolicy> victim_policy_{kDefaultVictimPolicy};
 
   std::mutex graph_mu_;  // leaf; guards waiting_
   std::unordered_map<TxnId, WaitRecord> waiting_;

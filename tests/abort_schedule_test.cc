@@ -81,11 +81,15 @@ void CheckConsistent(Database* db, IraReorganizer* ira,
   }
 }
 
-// Flavor A: abort unconditionally (every hit from start_hit on) at one
-// site; the sequential loop halts cleanly. Verify consistency right
-// away, then Resume from the forced checkpoint (or rerun) to completion.
-void RunAbortHaltSchedule(bool two_lock, const std::string& site) {
-  SCOPED_TRACE((two_lock ? "twolock @ " : "basic @ ") + site);
+// Flavor A: unlimited aborts (every hit from start_hit on) at one site
+// with a small per-object retry cap. The run must terminate
+// (RetryExhausted, not hang or livelock), leave consistent state the
+// moment it returns — no restart, no CompleteInterruptedMigration — and
+// be resumable after disarm.
+void RunAbortExhaustionSchedule(bool two_lock, const std::string& site,
+                                uint32_t workers = 4) {
+  SCOPED_TRACE((two_lock ? "twolock @ " : "basic @ ") + site + " x" +
+               std::to_string(workers));
   FailPoints::Instance().Reset();
 
   DatabaseOptions dopt = testing::SmallDbOptions(5);
@@ -106,13 +110,15 @@ void RunAbortHaltSchedule(bool two_lock, const std::string& site) {
   FailSpec spec;
   spec.action = FailSpec::Action::kError;
   spec.error_code = Status::Code::kAborted;
-  spec.start_hit = 25;  // deep enough that reorg checkpoints exist
+  spec.start_hit = 25;
   FailPoints::Instance().Arm(site, spec);
 
   ReorgCheckpoint ckpt;
   IraOptions opt;
   opt.two_lock_mode = two_lock;
   opt.group_size = 5;  // open groups hold completed migrations to roll back
+  opt.num_workers = workers;
+  opt.max_retries_per_object = 4;
   opt.lock_timeout = std::chrono::milliseconds(100);
   opt.backoff_initial = std::chrono::milliseconds(1);
   opt.checkpoint_sink = &ckpt;
@@ -122,15 +128,13 @@ void RunAbortHaltSchedule(bool two_lock, const std::string& site) {
   IraReorganizer ira(db.reorg_context());
   Status s = ira.Run(1, &planner, opt, &stats);
   mutators.StopAndJoin();
-  ASSERT_TRUE(s.IsAborted()) << s.ToString();
-  EXPECT_GT(stats.faults_injected, 0u);
-  EXPECT_GE(stats.aborts_rolled_back, 1u);
   FailPoints::Instance().Reset();
 
-  // No crash, no recovery: the state must be consistent *now*.
+  ASSERT_TRUE(s.IsRetryExhausted() || s.IsAborted()) << s.ToString();
+  EXPECT_GE(stats.aborts_rolled_back, 1u);
+
   CheckConsistent(&db, &ira, total_live, reachable_before);
 
-  // Finish the job from the forced checkpoint.
   ReorgStats stats2;
   IraOptions fin;
   fin.two_lock_mode = two_lock;
@@ -159,7 +163,7 @@ TEST(AbortScheduleTest, BasicModeSurvivesAbortAtEverySite) {
   std::vector<std::string> sites = DiscoverSites(/*two_lock=*/false);
   ASSERT_FALSE(sites.empty());
   for (const std::string& site : sites) {
-    RunAbortHaltSchedule(/*two_lock=*/false, site);
+    RunAbortExhaustionSchedule(/*two_lock=*/false, site, /*workers=*/1);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -168,12 +172,12 @@ TEST(AbortScheduleTest, TwoLockModeSurvivesAbortAtEverySite) {
   std::vector<std::string> sites = DiscoverSites(/*two_lock=*/true);
   ASSERT_FALSE(sites.empty());
   for (const std::string& site : sites) {
-    RunAbortHaltSchedule(/*two_lock=*/true, site);
+    RunAbortExhaustionSchedule(/*two_lock=*/true, site, /*workers=*/1);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-// Flavor B: one single injected abort mid-run with the parallel pipeline.
+// Flavor B: one single injected abort mid-run with four workers.
 // The pipeline must requeue the rolled-back object (not halt): a single
 // Run self-heals and completes with no outside help.
 void RunAbortRequeueSchedule(bool two_lock, const std::string& site) {
@@ -239,76 +243,59 @@ TEST(AbortScheduleTest, ParallelPipelineRequeuesAbortedCommit) {
   RunAbortRequeueSchedule(/*two_lock=*/false, "txn:reorg-commit:begin");
 }
 
-// Flavor C: unlimited aborts against the parallel pipeline with a small
-// per-object retry cap. The run must terminate (RetryExhausted, not hang
-// or livelock), leave consistent state, and be resumable after disarm.
-void RunAbortExhaustionSchedule(bool two_lock, const std::string& site) {
-  SCOPED_TRACE((two_lock ? "twolock @ " : "basic @ ") + site);
-  FailPoints::Instance().Reset();
-
-  DatabaseOptions dopt = testing::SmallDbOptions(5);
-  dopt.lock_timeout = std::chrono::milliseconds(100);
-  Database db(dopt);
-  WorkloadParams params = testing::SmallWorkload(2);
-  params.objects_per_partition = 85 * 2;
-  BuiltGraph graph;
-  GraphBuilder builder(&db);
-  ASSERT_TRUE(builder.Build(params, &graph).ok());
-
-  const uint64_t live_p1 = CountLiveObjects(&db.store(), 1);
-  const uint64_t total_live = TotalLiveObjects(&db.store());
-  const size_t reachable_before = CollectReachable(&db.store()).size();
-
-  SlotSwapMutators mutators(&db, 2, /*threads=*/2);
-
-  FailSpec spec;
-  spec.action = FailSpec::Action::kError;
-  spec.error_code = Status::Code::kAborted;
-  spec.start_hit = 25;
-  FailPoints::Instance().Arm(site, spec);
-
-  ReorgCheckpoint ckpt;
-  IraOptions opt;
-  opt.two_lock_mode = two_lock;
-  opt.group_size = 5;
-  opt.num_workers = 4;
-  opt.max_retries_per_object = 4;
-  opt.lock_timeout = std::chrono::milliseconds(100);
-  opt.backoff_initial = std::chrono::milliseconds(1);
-  opt.checkpoint_sink = &ckpt;
-  opt.checkpoint_every = 10;
-  CopyOutPlanner planner(5);
-  ReorgStats stats;
-  IraReorganizer ira(db.reorg_context());
-  Status s = ira.Run(1, &planner, opt, &stats);
-  mutators.StopAndJoin();
-  FailPoints::Instance().Reset();
-
-  ASSERT_TRUE(s.IsRetryExhausted() || s.IsAborted()) << s.ToString();
-  EXPECT_GE(stats.aborts_rolled_back, 1u);
-
-  CheckConsistent(&db, &ira, total_live, reachable_before);
-
-  ReorgStats stats2;
-  IraOptions fin;
-  fin.two_lock_mode = two_lock;
-  IraReorganizer ira2(db.reorg_context());
-  Status fs = ckpt.valid ? ira2.Resume(ckpt, &planner, fin, &stats2)
-                         : ira2.Run(1, &planner, fin, &stats2);
-  ASSERT_TRUE(fs.ok()) << fs.ToString();
-
-  db.analyzer().Sync();
-  EXPECT_EQ(CountLiveObjects(&db.store(), 1), 0u);
-  EXPECT_EQ(CountLiveObjects(&db.store(), 5), live_p1);
-  CheckConsistent(&db, &ira2, total_live, reachable_before);
-}
-
+// Flavor A against four workers racing the retry cap.
 TEST(AbortScheduleTest, RetryCapTerminatesUnlimitedAbortsBasic) {
   RunAbortExhaustionSchedule(/*two_lock=*/false, "ira:basic:after-parent-locks");
 }
 
 TEST(AbortScheduleTest, RetryCapTerminatesUnlimitedAbortsTwoLock) {
   RunAbortExhaustionSchedule(/*two_lock=*/true, "ira:twolock:after-create");
+}
+
+// A rollback that recurs at every try of the run's last commit — the
+// partial group committed when the pipe drains — must still end at the
+// retry cap: each rollback charges every migration it undid one attempt.
+TEST(AbortScheduleTest, RetryCapEndsRecurringDrainCommitAbort) {
+  FailPoints::Instance().Reset();
+  Database db(testing::SmallDbOptions(5));
+  WorkloadParams params = testing::SmallWorkload(2);
+  params.objects_per_partition = 85 * 2;
+  BuiltGraph graph;
+  GraphBuilder builder(&db);
+  ASSERT_TRUE(builder.Build(params, &graph).ok());
+  const uint64_t live_p1 = CountLiveObjects(&db.store(), 1);
+  const uint64_t total_live = TotalLiveObjects(&db.store());
+  const size_t reachable_before = CollectReachable(&db.store()).size();
+  ASSERT_EQ(live_p1, 170u);
+
+  // 170 = 24 x 7 + 2: the 25th reorg commit is the drain-time commit of
+  // the two-member final group, and every retry of it aborts.
+  FailSpec spec;
+  spec.action = FailSpec::Action::kError;
+  spec.error_code = Status::Code::kAborted;
+  spec.start_hit = 25;
+  FailPoints::Instance().Arm("txn:reorg-commit:begin", spec);
+
+  IraOptions opt;
+  opt.group_size = 7;
+  opt.max_retries_per_object = 4;
+  opt.backoff_initial = std::chrono::milliseconds(1);
+  CopyOutPlanner planner(5);
+  ReorgStats stats;
+  IraReorganizer ira(db.reorg_context());
+  Status s = ira.Run(1, &planner, opt, &stats);
+  FailPoints::Instance().Reset();
+
+  ASSERT_TRUE(s.IsRetryExhausted()) << s.ToString();
+  EXPECT_EQ(stats.aborts_rolled_back, 4u);  // attempts 1..4 of the pair
+  CheckConsistent(&db, &ira, total_live, reachable_before);
+
+  ReorgStats stats2;
+  IraReorganizer ira2(db.reorg_context());
+  ASSERT_TRUE(ira2.Run(1, &planner, IraOptions{}, &stats2).ok());
+  EXPECT_EQ(CountLiveObjects(&db.store(), 1), 0u);
+  EXPECT_EQ(CountLiveObjects(&db.store(), 5), live_p1);
+  CheckConsistent(&db, &ira2, total_live, reachable_before);
 }
 
 // PQR migrates the whole partition under one transaction: a single

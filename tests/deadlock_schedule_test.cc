@@ -1,7 +1,7 @@
 // Deterministic deadlock-schedule harness (DESIGN.md §10).
 //
 // The LockManager-level tests build exact waits-for cycles — two-txn,
-// three-txn, upgrade, mixed user/reorg, wait-die, all-exempt — and
+// three-txn, upgrade, mixed user/reorg, all-exempt — and
 // assert who the victim is, that resolution happens in milliseconds
 // rather than by burning the lock-wait timeout, and that the loser's
 // held locks and the lock table are intact afterwards. The DB-level test
@@ -105,15 +105,10 @@ TEST(DeadlockGraphTest, ReorgFirstVictimSelection) {
   profiles[1] = Reorg(/*side_effects=*/50, /*locks=*/20);  // old, expensive
   profiles[2] = User();                                    // young, cheap
   // Reorg is always cheaper than user, regardless of undo cost or age.
-  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles, VictimPolicy::kReorgFirst),
-            1u);
-  // The youngest policy ignores the reorg bit entirely.
-  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles, VictimPolicy::kYoungest),
-            2u);
+  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles), 1u);
   // Two reorg members: fewer side effects loses.
   profiles[2] = Reorg(/*side_effects=*/3, /*locks=*/100);
-  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles, VictimPolicy::kReorgFirst),
-            2u);
+  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles), 2u);
 }
 
 TEST(DeadlockGraphTest, NoVictimExemption) {
@@ -122,12 +117,10 @@ TEST(DeadlockGraphTest, NoVictimExemption) {
   profiles[1].no_victim = true;  // compensation in progress
   profiles[2] = User();
   // The exempt reorg txn is skipped; the user txn is all that is left.
-  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles, VictimPolicy::kReorgFirst),
-            2u);
+  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles), 2u);
   profiles[2].no_victim = true;
   // Everybody exempt: no victim; the lock-wait timeout is the backstop.
-  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles, VictimPolicy::kReorgFirst),
-            kInvalidTxn);
+  EXPECT_EQ(deadlock::SelectVictim({1, 2}, profiles), kInvalidTxn);
 }
 
 // --- deterministic LockManager schedules ---------------------------------
@@ -240,28 +233,6 @@ TEST(DeadlockScheduleTest, UpgradeCycleFastFails) {
   lm.Release(2, kA);
   t1.join();
   EXPECT_EQ(lm.user_victims(), 0u);
-  EXPECT_EQ(lm.NumLockedObjects(), 0u);
-}
-
-// Wait-die ablation: the younger transaction dies the moment it would
-// wait on an older incompatible holder — no cycle needed, no detection
-// counted, timeout untouched.
-TEST(DeadlockScheduleTest, WaitDieYoungerDiesInstantly) {
-  LockManager lm;
-  lm.set_deadlock_policy(DeadlockPolicy::kWaitDie);
-  ASSERT_TRUE(lm.Acquire(1, kA, LockMode::kExclusive, 100ms, User()).ok());
-  const auto start = std::chrono::steady_clock::now();
-  Status s = lm.Acquire(2, kA, LockMode::kExclusive, 5000ms, User());
-  EXPECT_TRUE(s.IsDeadlockVictim()) << s.ToString();
-#ifndef BRAHMA_TEST_TSAN
-  EXPECT_LT(ElapsedMs(start), 100);
-#endif
-  EXPECT_EQ(lm.victims_aborted(), 1u);
-  EXPECT_EQ(lm.deadlocks_detected(), 0u);  // died on suspicion, not a cycle
-  // The older transaction may wait (and here, be granted) as usual.
-  lm.Release(1, kA);
-  EXPECT_TRUE(lm.Acquire(1, kA, LockMode::kShared, 100ms, User()).ok());
-  lm.Release(1, kA);
   EXPECT_EQ(lm.NumLockedObjects(), 0u);
 }
 
@@ -419,33 +390,6 @@ TEST(DeadlockScheduleTest, ParallelIraNeverVictimizesUsers) {
   EXPECT_EQ(CollectReachable(&db.store()).size(), reachable_before);
   EXPECT_EQ(db.locks().NumLockedObjects(), 0u);
   EXPECT_FALSE(db.trt().enabled());
-}
-
-// The wait_die ablation knob switches the process policy for the run and
-// restores it afterwards; the run still completes exactly.
-TEST(DeadlockScheduleTest, IraWaitDieKnobRoundTrips) {
-  Database db(testing::SmallDbOptions(5));
-  WorkloadParams params = testing::SmallWorkload(2);
-  BuiltGraph graph;
-  GraphBuilder builder(&db);
-  ASSERT_TRUE(builder.Build(params, &graph).ok());
-  const uint64_t live_before = CountLiveObjects(&db.store(), 1);
-  ASSERT_EQ(db.locks().deadlock_policy(), kDefaultDeadlockPolicy);
-
-  IraOptions opt;
-  opt.num_workers = 2;
-  opt.wait_die = true;
-  CopyOutPlanner planner(5);
-  ReorgStats stats;
-  IraReorganizer ira(db.reorg_context());
-  Status s = ira.Run(1, &planner, opt, &stats);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(db.locks().deadlock_policy(), kDefaultDeadlockPolicy);
-  EXPECT_EQ(CountLiveObjects(&db.store(), 1), 0u);
-  EXPECT_EQ(CountLiveObjects(&db.store(), 5), live_before);
-  db.analyzer().Sync();
-  EXPECT_EQ(CountDanglingRefs(&db.store()), 0);
-  EXPECT_EQ(db.locks().NumLockedObjects(), 0u);
 }
 
 }  // namespace

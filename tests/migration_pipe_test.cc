@@ -132,111 +132,85 @@ TEST(MigrationPipeTest, StrandedClaimWaitersArePromotedNotDeadlocked) {
   EXPECT_EQ(pipe.Pop(&end), Next::kDrained);
 }
 
-// Adaptive controller arithmetic: a deferral-dominated window sheds one
-// worker per window down to the floor; a migration-dominated window adds
-// one back up to the configured count.
-TEST(MigrationPipeTest, AdaptiveControllerShedsAndAddsByWindowRatio) {
-  MigrationPipe::Options opt;
-  opt.workers = 4;
-  opt.adaptive = true;
-  opt.min_workers = 1;
-  opt.adapt_window = 4;
-  opt.shed_ratio = 1.0;
-  opt.add_ratio = 0.25;
-  std::vector<ObjectId> objs = {Oid(10)};
-  MigrationPipe pipe(objs, opt);
-  ASSERT_EQ(pipe.target_running(), 4u);
-
-  auto window_of_deferrals = [&] {
-    for (uint32_t i = 0; i < opt.adapt_window; ++i) pipe.NoteDeferral();
-  };
-  auto window_of_migrations = [&] {
-    for (uint32_t i = 0; i < opt.adapt_window; ++i) pipe.NoteMigrated();
-  };
-
-  window_of_deferrals();
-  EXPECT_EQ(pipe.target_running(), 3u);
-  window_of_deferrals();
-  EXPECT_EQ(pipe.target_running(), 2u);
-  window_of_deferrals();
-  EXPECT_EQ(pipe.target_running(), 1u);
-  // At the floor: further thrash-dominated windows change nothing.
-  window_of_deferrals();
-  EXPECT_EQ(pipe.target_running(), 1u);
-  EXPECT_EQ(pipe.workers_shed(), 3u);
-
-  window_of_migrations();
-  EXPECT_EQ(pipe.target_running(), 2u);
-  window_of_migrations();
-  EXPECT_EQ(pipe.target_running(), 3u);
-  EXPECT_EQ(pipe.workers_added(), 2u);
-
-  // A mixed window below the shed ratio and above the add ratio holds
-  // the worker count steady.
-  pipe.NoteDeferral();
-  for (uint32_t i = 1; i < opt.adapt_window; ++i) pipe.NoteMigrated();
-  EXPECT_EQ(pipe.target_running(), 3u);
-  EXPECT_EQ(pipe.workers_shed(), 3u);
-  EXPECT_EQ(pipe.workers_added(), 2u);
-}
-
-// A shed worker parks (stops popping even with work available) and
-// resumes when the controller raises the target again.
-TEST(MigrationPipeTest, ShedWorkerParksAndResumesOnTargetRaise) {
+// Worker cap (ReorgThrottle's lever): cap 0 parks every worker even with
+// ready work; raising the cap resumes them.
+TEST(MigrationPipeTest, CapZeroParksEveryWorkerUntilRaised) {
   MigrationPipe::Options opt;
   opt.workers = 2;
-  opt.adaptive = true;
-  opt.min_workers = 1;
-  opt.adapt_window = 2;
-  opt.shed_ratio = 1.0;
-  opt.add_ratio = 0.25;
   std::vector<ObjectId> objs = {Oid(10), Oid(20)};
   MigrationPipe pipe(objs, opt);
+  pipe.SetWorkerCap(0);
 
-  // Thrash window: target drops 2 -> 1 before any worker pops.
-  pipe.NoteDeferral();
-  pipe.NoteDeferral();
-  ASSERT_EQ(pipe.target_running(), 1u);
-
-  // The "second worker" must park inside Pop despite ready work.
-  std::atomic<bool> popped{false};
-  MigrationPipe::Item parked_item;
-  std::thread w2([&] {
-    MigrationPipe::Next n = pipe.Pop(&parked_item);
-    ASSERT_EQ(n, Next::kItem);
-    popped.store(true);
-  });
+  std::atomic<int> popped{0};
+  std::vector<std::thread> workers;
+  for (int i = 0; i < 2; ++i) {
+    workers.emplace_back([&] {
+      MigrationPipe::Item it;
+      if (pipe.Pop(&it) == Next::kItem) {
+        popped.fetch_add(1);
+        pipe.Done();
+      }
+    });
+  }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(popped.load()) << "worker popped while over target";
+  EXPECT_EQ(popped.load(), 0) << "a worker popped under cap 0";
 
-  // Productive window raises the target; the parked worker resumes.
-  pipe.NoteMigrated();
-  pipe.NoteMigrated();
-  ASSERT_EQ(pipe.target_running(), 2u);
-  w2.join();
-  EXPECT_TRUE(popped.load());
-  EXPECT_EQ(pipe.workers_added(), 1u);
-
-  // Drain: the main thread takes the remaining item.
-  MigrationPipe::Item mine;
-  ASSERT_EQ(pipe.Pop(&mine), Next::kItem);
-  pipe.Done();
-  pipe.Done();
+  pipe.SetWorkerCap(2);
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(popped.load(), 2);
   MigrationPipe::Item end;
   EXPECT_EQ(pipe.Pop(&end), Next::kDrained);
 }
 
-// Stop() wins over parking: a parked worker must observe Stop and exit.
+// A checkpoint barrier completes while workers are capped: the parked
+// worker wakes for the rendezvous (every active worker must arrive), then
+// the run drains normally.
+TEST(MigrationPipeTest, CheckpointBarrierCompletesWhileCapped) {
+  MigrationPipe::Options opt;
+  opt.workers = 2;
+  opt.checkpoint_every = 1;
+  std::vector<ObjectId> objs = {Oid(10), Oid(20)};
+  MigrationPipe pipe(objs, opt);
+  pipe.SetWorkerCap(1);
+
+  std::atomic<int> cuts{0};
+  std::atomic<int> migrated{0};
+  auto worker = [&] {
+    for (;;) {
+      MigrationPipe::Item it;
+      const Next n = pipe.Pop(&it);
+      if (n == Next::kDrained || n == Next::kStopped) break;
+      if (n == Next::kBarrier) {
+        if (pipe.ArriveBarrier()) {
+          cuts.fetch_add(1);
+          pipe.BarrierCut(/*next_target=*/100);
+        }
+        continue;
+      }
+      pipe.Done();
+      if (pipe.CheckpointDue(migrated.fetch_add(1) + 1)) {
+        pipe.RequestCheckpoint();
+      }
+    }
+    pipe.WorkerExit();
+  };
+  std::thread a(worker);
+  std::thread b(worker);
+  a.join();
+  b.join();
+  EXPECT_EQ(cuts.load(), 1);
+  EXPECT_EQ(migrated.load(), 2);
+  EXPECT_FALSE(pipe.stopped());
+}
+
+// Stop() wins over parking: a worker parked by the cap must observe Stop
+// and exit.
 TEST(MigrationPipeTest, StopWakesParkedWorker) {
   MigrationPipe::Options opt;
   opt.workers = 2;
-  opt.adaptive = true;
-  opt.adapt_window = 2;
   std::vector<ObjectId> objs = {Oid(10), Oid(20)};
   MigrationPipe pipe(objs, opt);
-  pipe.NoteDeferral();
-  pipe.NoteDeferral();
-  ASSERT_EQ(pipe.target_running(), 1u);
+  pipe.SetWorkerCap(1);
 
   std::atomic<bool> stopped_seen{false};
   std::thread w2([&] {

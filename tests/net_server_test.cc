@@ -485,5 +485,73 @@ TEST(ReorgThrottleTest, ThrottledIraCompletes) {
   EXPECT_EQ(testing::CountDanglingRefs(&db.store()), 0);
 }
 
+// The throttle governs a one-worker run too (every run is a pipe): a
+// breaching feed in pace mode parks the only worker and no migration
+// happens while it is parked; a quiet feed resumes it, and the run then
+// completes with the paper's invariants.
+TEST(ReorgThrottleTest, PacesSingleWorkerRun) {
+  Database db(testing::SmallDbOptions(5));
+  WorkloadParams params = testing::SmallWorkload(2);
+  params.objects_per_partition = 85 * 16;
+  BuiltGraph graph;
+  GraphBuilder builder(&db);
+  ASSERT_TRUE(builder.Build(params, &graph).ok());
+  const uint64_t live_before = testing::CountLiveObjects(&db.store(), 1);
+  const size_t reachable_before =
+      testing::CollectReachable(&db.store()).size();
+
+  ReorgThrottleOptions topt;
+  topt.slo_p99_ms = 5.0;
+  topt.window = 16;
+  topt.eval_every = 1;
+  topt.min_workers = 0;
+  ReorgThrottle throttle(topt);
+
+  std::atomic<bool> quiet{false};
+  std::atomic<bool> stop{false};
+  std::thread feeder([&] {
+    while (!stop.load()) {
+      throttle.Record(quiet.load() ? 1.0 : 50.0);
+      std::this_thread::yield();
+    }
+  });
+
+  IraOptions opt;
+  opt.num_workers = 1;
+  opt.lock_timeout = std::chrono::milliseconds(100);
+  opt.throttle = &throttle;
+  CopyOutPlanner planner(5);
+  ReorgStats stats;
+  Status s;
+  std::thread reorg([&] {
+    IraReorganizer ira(db.reorg_context());
+    s = ira.Run(1, &planner, opt, &stats);
+  });
+
+  // Parked: the cap hits 0 and, once any in-flight migration finished,
+  // the migrated count stands still.
+  EXPECT_TRUE(WaitFor([&] { return throttle.sheds() > 0; }));
+  EXPECT_EQ(throttle.current_cap(), 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const uint64_t parked_at = stats.objects_migrated.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(stats.objects_migrated.load(), parked_at);
+  EXPECT_LT(parked_at, live_before);
+
+  quiet.store(true);
+  reorg.join();
+  stop.store(true);
+  feeder.join();
+
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_GT(throttle.boosts(), 0u);
+  EXPECT_EQ(stats.objects_migrated, live_before);
+  EXPECT_EQ(testing::CountLiveObjects(&db.store(), 1), 0u);
+  db.analyzer().Sync();
+  EXPECT_EQ(testing::CountDanglingRefs(&db.store()), 0);
+  EXPECT_EQ(testing::CountErtDiscrepancies(&db.store(), &db.erts()), 0);
+  EXPECT_EQ(testing::CollectReachable(&db.store()).size(), reachable_before);
+}
+
 }  // namespace
 }  // namespace brahma
