@@ -34,10 +34,10 @@ void Run() {
     opt.two_lock_mode = two_lock;
     ExperimentResult r = RunIraVariant(opt, 0.2);
     std::printf("%-10s %16.1f %16llu %14llu %14.1f %14.2f\n",
-                two_lock ? "two-lock" : "basic", r.reorg.duration_ms,
+                two_lock ? "two-lock" : "basic", r.reorg->duration_ms,
                 static_cast<unsigned long long>(
-                    r.reorg.max_distinct_objects_locked),
-                static_cast<unsigned long long>(r.reorg.lock_timeouts),
+                    r.reorg->max_distinct_objects_locked),
+                static_cast<unsigned long long>(r.reorg->lock_timeouts),
                 r.driver.throughput_tps(), r.driver.response_ms.mean());
   }
 
@@ -49,9 +49,9 @@ void Run() {
     opt.group_size = group;
     ExperimentResult r = RunIraVariant(opt, 0.2);
     std::printf("%-10u %16.1f %16llu %14.1f %14.2f\n", group,
-                r.reorg.duration_ms,
+                r.reorg->duration_ms,
                 static_cast<unsigned long long>(
-                    r.reorg.max_distinct_objects_locked),
+                    r.reorg->max_distinct_objects_locked),
                 r.driver.throughput_tps(), r.driver.response_ms.mean());
   }
 
@@ -63,9 +63,9 @@ void Run() {
     opt.disable_trt_purge = !purge;
     ExperimentResult r = RunIraVariant(opt, 0.8);
     std::printf("%-10s %16llu %16llu %16.1f\n", purge ? "on" : "off",
-                static_cast<unsigned long long>(r.reorg.trt_peak_size),
-                static_cast<unsigned long long>(r.reorg.trt_tuples_drained),
-                r.reorg.duration_ms);
+                static_cast<unsigned long long>(r.reorg->trt_peak_size),
+                static_cast<unsigned long long>(r.reorg->trt_tuples_drained),
+                r.reorg->duration_ms);
   }
 }
 

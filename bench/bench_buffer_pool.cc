@@ -249,9 +249,11 @@ void RunMode(const PoolBenchConfig& cfg, JsonBenchWriter* json) {
   iopt.group_size = 8;
   iopt.lock_timeout = std::chrono::milliseconds(200);
   ReorgStats stats;
+  const MetricsSnapshot io_before = db.Metrics();
   Stopwatch reorg_sw;
   Status rs = db.RunIra(1, &planner, iopt, &stats);
   const double reorg_ms = reorg_sw.ElapsedMillis();
+  const MetricsSnapshot io = db.Metrics().Since(io_before);
   const bool reorg_ok = rs.ok() && stats.objects_migrated ==
                                        static_cast<uint64_t>(cfg.clusters) * n;
   if (!rs.ok()) {
@@ -284,9 +286,9 @@ void RunMode(const PoolBenchConfig& cfg, JsonBenchWriter* json) {
         "reorg: %.1fms, migrated=%llu, pool misses during reorg=%llu, "
         "evictions=%llu, writebacks=%llu\n",
         reorg_ms, static_cast<unsigned long long>(stats.objects_migrated),
-        static_cast<unsigned long long>(stats.pool_misses.load()),
-        static_cast<unsigned long long>(stats.frames_evicted.load()),
-        static_cast<unsigned long long>(stats.dirty_writebacks.load()));
+        static_cast<unsigned long long>(io.Get("storage.pool_misses")),
+        static_cast<unsigned long long>(io.Get("storage.frames_evicted")),
+        static_cast<unsigned long long>(io.Get("storage.dirty_writebacks")));
   }
 }
 

@@ -72,14 +72,15 @@ void Run() {
       cfg.ira.num_workers = workers;
       cfg.deadlock_policy = policies[mode];
       ExperimentResult r = RunExperiment(cfg);
+      const double detected = r.metrics.Get("txn.deadlocks_detected");
+      const double victims = r.metrics.Get("txn.victims_aborted");
+      const double saved_ms = r.metrics.Get("txn.victim_wait_ms_saved");
       PrintSeriesRow(static_cast<double>(mode),
                      {static_cast<double>(mpl), r.reorg_duration_ms,
                       r.driver.throughput_tps(),
-                      r.driver.response_ms.Percentile(0.99),
-                      static_cast<double>(r.reorg.deadlocks_detected),
-                      static_cast<double>(r.reorg.victims_aborted),
-                      static_cast<double>(r.reorg.victim_wait_ms_saved),
-                      static_cast<double>(r.reorg.lock_timeouts)});
+                      r.driver.response_ms.Percentile(0.99), detected,
+                      victims, saved_ms,
+                      static_cast<double>(r.reorg->lock_timeouts)});
       std::printf("#   policy=%s\n", PolicyName(policies[mode]));
       json.BeginRow();
       json.Add("mode", static_cast<double>(mode));
@@ -93,15 +94,12 @@ void Run() {
                static_cast<double>(r.driver.timeout_aborts));
       json.Add("user_other_aborts",
                static_cast<double>(r.driver.other_aborts));
-      json.Add("deadlocks_detected",
-               static_cast<double>(r.reorg.deadlocks_detected));
-      json.Add("victims_aborted",
-               static_cast<double>(r.reorg.victims_aborted));
-      json.Add("victim_wait_ms_saved",
-               static_cast<double>(r.reorg.victim_wait_ms_saved));
-      json.Add("lock_timeouts", static_cast<double>(r.reorg.lock_timeouts));
+      json.Add("deadlocks_detected", detected);
+      json.Add("victims_aborted", victims);
+      json.Add("victim_wait_ms_saved", saved_ms);
+      json.Add("lock_timeouts", static_cast<double>(r.reorg->lock_timeouts));
       json.Add("objects_migrated",
-               static_cast<double>(r.reorg.objects_migrated));
+               static_cast<double>(r.reorg->objects_migrated));
       json.Add("reorg_ok", r.reorg_status.ok() ? 1 : 0);
     }
   }

@@ -53,12 +53,13 @@ void Run() {
       cfg.ira.num_workers = w;
       cfg.group_commit = gc != 0;
       ExperimentResult r = RunExperiment(cfg);
+      const double batches = r.metrics.Get("wal.group_commit_batches");
+      const double absorbed = r.metrics.Get("wal.forces_absorbed");
       PrintSeriesRow(gc, {static_cast<double>(w), r.reorg_duration_ms,
                           r.driver.throughput_tps(),
-                          r.driver.response_ms.Percentile(0.99),
-                          static_cast<double>(r.reorg.group_commit_batches),
-                          static_cast<double>(r.reorg.forces_absorbed),
-                          static_cast<double>(r.reorg.claim_wakeups)});
+                          r.driver.response_ms.Percentile(0.99), batches,
+                          absorbed,
+                          static_cast<double>(r.reorg->claim_wakeups)});
       json.BeginRow();
       json.Add("group_commit", gc);
       json.Add("workers", w);
@@ -68,15 +69,13 @@ void Run() {
       json.Add("user_p99_ms", r.driver.response_ms.Percentile(0.99));
       json.Add("user_art_ms", r.driver.response_ms.mean());
       json.Add("objects_migrated",
-               static_cast<double>(r.reorg.objects_migrated));
-      json.Add("group_commit_batches",
-               static_cast<double>(r.reorg.group_commit_batches));
-      json.Add("forces_absorbed",
-               static_cast<double>(r.reorg.forces_absorbed));
+               static_cast<double>(r.reorg->objects_migrated));
+      json.Add("group_commit_batches", batches);
+      json.Add("forces_absorbed", absorbed);
       json.Add("claim_deferrals",
-               static_cast<double>(r.reorg.claim_deferrals));
-      json.Add("claim_wakeups", static_cast<double>(r.reorg.claim_wakeups));
-      json.Add("lock_timeouts", static_cast<double>(r.reorg.lock_timeouts));
+               static_cast<double>(r.reorg->claim_deferrals));
+      json.Add("claim_wakeups", static_cast<double>(r.reorg->claim_wakeups));
+      json.Add("lock_timeouts", static_cast<double>(r.reorg->lock_timeouts));
       json.Add("reorg_ok", r.reorg_status.ok() ? 1 : 0);
     }
   }

@@ -48,11 +48,11 @@ ExperimentResult RunForDuration(Scenario scenario, double measure_s,
     if (scenario == Scenario::kIRA) {
       IraReorganizer ira(db.reorg_context());
       result.reorg_status =
-          ira.Run(cfg.reorg_partition, &planner, cfg.ira, &result.reorg);
+          ira.Run(cfg.reorg_partition, &planner, cfg.ira, result.reorg.get());
     } else {
       PqrReorganizer pqr(db.reorg_context());
       result.reorg_status =
-          pqr.Run(cfg.reorg_partition, &planner, cfg.pqr, &result.reorg);
+          pqr.Run(cfg.reorg_partition, &planner, cfg.pqr, result.reorg.get());
     }
     result.reorg_duration_ms = sw.ElapsedMillis();
     if (reorg_ms_out != nullptr) *reorg_ms_out = result.reorg_duration_ms;

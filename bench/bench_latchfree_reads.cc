@@ -88,12 +88,12 @@ void Run() {
           [](const ExperimentResult& a, const ExperimentResult& b) {
             return a.driver.throughput_tps() < b.driver.throughput_tps();
           });
+      const double lf_reads = r.metrics.Get("epoch.latchfree_reads");
+      const double advances = r.metrics.Get("epoch.advances");
+      const double drains = r.metrics.Get("epoch.retire_drains");
       PrintSeriesRow(lf, {static_cast<double>(w), r.driver.throughput_tps(),
                           r.driver.response_ms.Percentile(0.99),
-                          r.reorg_duration_ms,
-                          static_cast<double>(r.reorg.latchfree_reads),
-                          static_cast<double>(r.reorg.epoch_advances),
-                          static_cast<double>(r.reorg.retire_drains)});
+                          r.reorg_duration_ms, lf_reads, advances, drains});
       json.BeginRow();
       json.Add("latchfree", lf);
       json.Add("workers", w);
@@ -103,13 +103,11 @@ void Run() {
       json.Add("read_art_ms", r.driver.response_ms.mean());
       json.Add("reorg_ms", r.reorg_duration_ms);
       json.Add("objects_migrated",
-               static_cast<double>(r.reorg.objects_migrated));
-      json.Add("latchfree_reads",
-               static_cast<double>(r.reorg.latchfree_reads));
-      json.Add("epoch_advances",
-               static_cast<double>(r.reorg.epoch_advances));
-      json.Add("retire_drains", static_cast<double>(r.reorg.retire_drains));
-      json.Add("lock_timeouts", static_cast<double>(r.reorg.lock_timeouts));
+               static_cast<double>(r.reorg->objects_migrated));
+      json.Add("latchfree_reads", lf_reads);
+      json.Add("epoch_advances", advances);
+      json.Add("retire_drains", drains);
+      json.Add("lock_timeouts", static_cast<double>(r.reorg->lock_timeouts));
       json.Add("reorg_ok", r.reorg_status.ok() ? 1 : 0);
     }
   }

@@ -53,8 +53,8 @@ void Run() {
       PrintSeriesRow(mpl, {static_cast<double>(w), r.reorg_duration_ms,
                            speedup, r.driver.throughput_tps(),
                            r.driver.response_ms.mean(),
-                           static_cast<double>(r.reorg.lock_timeouts),
-                           static_cast<double>(r.reorg.backoff_sleeps)});
+                           static_cast<double>(r.reorg->lock_timeouts),
+                           static_cast<double>(r.reorg->backoff_sleeps)});
       json.BeginRow();
       json.Add("mpl", mpl);
       json.Add("workers", w);
@@ -63,10 +63,10 @@ void Run() {
       json.Add("user_tps", r.driver.throughput_tps());
       json.Add("user_art_ms", r.driver.response_ms.mean());
       json.Add("objects_migrated",
-               static_cast<double>(r.reorg.objects_migrated));
-      json.Add("lock_timeouts", static_cast<double>(r.reorg.lock_timeouts));
+               static_cast<double>(r.reorg->objects_migrated));
+      json.Add("lock_timeouts", static_cast<double>(r.reorg->lock_timeouts));
       json.Add("backoff_sleeps",
-               static_cast<double>(r.reorg.backoff_sleeps));
+               static_cast<double>(r.reorg->backoff_sleeps));
       json.Add("reorg_ok", r.reorg_status.ok() ? 1 : 0);
     }
   }

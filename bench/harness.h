@@ -83,8 +83,8 @@ struct ExperimentConfig {
   // BRAHMA_BENCH_FULL=1 restores the literal 1 s. Both values live in
   // common/params.h so library defaults and benchmarks stay in sync.
   std::chrono::milliseconds lock_timeout = kCalibratedLockTimeout;
-  // Deadlock handling during lock waits: waits-for detection (default),
-  // wait-die, or the paper's timeout-only baseline (DESIGN.md §10).
+  // Deadlock handling during lock waits: waits-for detection (default)
+  // or the paper's timeout-only baseline (DESIGN.md §10).
   DeadlockPolicy deadlock_policy = kDefaultDeadlockPolicy;
   // Durability substrate (DESIGN.md §12): kInMemory pays flush_latency
   // per force; kDisk writes real WAL segments + checkpoint images under
@@ -97,7 +97,11 @@ struct ExperimentConfig {
 
 struct ExperimentResult {
   DriverResult driver;
-  ReorgStats reorg;
+  // Held by pointer: ReorgStats is not copyable.
+  std::shared_ptr<ReorgStats> reorg = std::make_shared<ReorgStats>();
+  // Shared counters' movement over the reorganization call
+  // (Database::Metrics() delta; empty for NR).
+  MetricsSnapshot metrics;
   Status reorg_status;
   double reorg_duration_ms = 0;
   // True when the run's reorganization failed (reorg scenarios only).
@@ -251,21 +255,23 @@ inline ExperimentResult RunExperimentExact(const ExperimentConfig& cfg) {
       Stopwatch window;
       std::this_thread::sleep_for(std::chrono::duration<double>(cfg.warmup_s));
       CopyOutPlanner planner(dst);
+      const MetricsSnapshot before = db.Metrics();
       Stopwatch sw;
       if (cfg.scenario == Scenario::kIRA) {
         IraReorganizer ira(db.reorg_context());
         IraOptions opt = cfg.ira;
         opt.lock_timeout = cfg.lock_timeout;
         result.reorg_status =
-            ira.Run(cfg.reorg_partition, &planner, opt, &result.reorg);
+            ira.Run(cfg.reorg_partition, &planner, opt, result.reorg.get());
       } else {
         PqrReorganizer pqr(db.reorg_context());
         PqrOptions opt = cfg.pqr;
         opt.lock_timeout = cfg.lock_timeout;
         result.reorg_status =
-            pqr.Run(cfg.reorg_partition, &planner, opt, &result.reorg);
+            pqr.Run(cfg.reorg_partition, &planner, opt, result.reorg.get());
       }
       result.reorg_duration_ms = sw.ElapsedMillis();
+      result.metrics = db.Metrics().Since(before);
       double pad_ms = cfg.min_duration_s * 1e3 - window.ElapsedMillis();
       if (pad_ms > 0) {
         std::this_thread::sleep_for(

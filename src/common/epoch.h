@@ -83,9 +83,8 @@ class EpochManager {
     return retired_.size();
   }
 
-  // Shared counters, delta-folded into ReorgStats by reorg runs (the
-  // same before/after convention as the group-commit and deadlock
-  // counters).
+  // Shared monotone counters, named in Database::Metrics(); a run's
+  // share is a before/after delta.
   uint64_t epochs_advanced() const {
     return epochs_advanced_.load(std::memory_order_relaxed);
   }

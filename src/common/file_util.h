@@ -23,7 +23,7 @@ uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0);
 // .nth/.times/.prob triggers), and this singleton holds the *shape* of
 // the fault — how many bytes of a torn write reach the platter, how
 // short a short read comes up — plus the monotone injected-fault counter
-// the durability stats fold.
+// (fault.media_faults_injected in Database::Metrics()).
 //
 // Post-mortem faults (bit flip, truncation, deletion applied to the
 // on-disk state after a simulated kill) go through InjectFileFault below

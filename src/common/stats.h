@@ -5,8 +5,13 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "storage/object_id.h"
@@ -21,12 +26,18 @@ inline void AtomicMax(std::atomic<uint64_t>* gauge, uint64_t value) {
   }
 }
 
-// Migration statistics (also records the old -> new identity mapping).
+// What one reorganization run did (paper Section 5, Table 2): the
+// counters only the reorganizer bumps, its duration, and the old -> new
+// identity mapping. Counters owned by other subsystems (log, lock
+// manager, epochs, buffer pool, fault injection) are not mirrored here;
+// read a run's share of them as Database::Metrics() deltas around it.
+//
 // Thread-safe for the parallel migration pipeline: counters are atomics
 // (workers bump them concurrently), the relocation map is guarded by an
 // internal mutex — use AddRelocation/Relocated/RelocationSnapshot on
 // concurrent paths; direct access to `relocation` is fine only while a
-// single thread owns the stats (setup, post-run assertions).
+// single thread owns the stats (setup, post-run assertions). The atomics
+// and the mutex make it non-copyable.
 struct ReorgStats {
   std::atomic<uint64_t> objects_migrated{0};
   std::atomic<uint64_t> garbage_collected{0};
@@ -54,110 +65,30 @@ struct ReorgStats {
   // decisions can watch these the same way they watch lock_timeouts.
   std::atomic<uint64_t> aborts_rolled_back{0};
   std::atomic<uint64_t> side_effects_compensated{0};
-  // Group commit (delta of the shared LogManager counters over this run,
-  // like faults_injected: concurrent user commits that batched with reorg
-  // forces are attributed to the run they overlapped): batches = elected
-  // flushers that performed a device force; forces_absorbed = committers
-  // whose durability was covered by another committer's force.
-  std::atomic<uint64_t> group_commit_batches{0};
-  std::atomic<uint64_t> forces_absorbed{0};
   // Claim-aware pipeline scheduling: deferred migrations woken exactly by
   // the release of the footprint claim that blocked them.
   std::atomic<uint64_t> claim_wakeups{0};
-  // Deadlock handling (delta of the shared LockManager counters over this
-  // run, like group_commit_batches): waits-for cycles found, transactions
-  // surgically aborted to break them, and the cumulative lock-wait time
-  // those victims did NOT burn (remaining-until-timeout at victimization —
-  // the paper's timeout-only baseline would have stalled that long).
-  std::atomic<uint64_t> deadlocks_detected{0};
-  std::atomic<uint64_t> victims_aborted{0};
-  std::atomic<uint64_t> victim_wait_ms_saved{0};
-  // Latch-free read path (delta of the shared EpochManager counters over
-  // this run, like group_commit_batches): user reads served with zero
-  // lock-manager traffic under an epoch guard, global epoch advances,
-  // and retired arena ranges whose grace period elapsed and were
-  // returned to the allocator.
-  std::atomic<uint64_t> latchfree_reads{0};
-  std::atomic<uint64_t> epoch_advances{0};
-  std::atomic<uint64_t> retire_drains{0};
-  // Failpoint triggers observed during this run (delta of the global
-  // trigger counter; attributes concurrent-mutator triggers to the run
-  // they overlapped, which is what fault-injection reports want).
-  std::atomic<uint64_t> faults_injected{0};
-  // Durability layer (DESIGN.md §12). fsyncs and media_faults_injected
-  // are deltas of shared monotone counters over this run (like
-  // group_commit_batches); the scrub counters are filled by
-  // Database::Recover from the corruption-aware scan.
-  std::atomic<uint64_t> wal_records_verified{0};
-  std::atomic<uint64_t> torn_tails_truncated{0};
-  std::atomic<uint64_t> checkpoint_generations_discarded{0};
-  std::atomic<uint64_t> fsyncs{0};
-  std::atomic<uint64_t> media_faults_injected{0};
-  // Disk data backing (DESIGN.md §13; deltas of the shared BufferPool
-  // counters over this run, like group_commit_batches): frame pool hits
-  // and misses, frames evicted by CLOCK, and dirty frames written back
-  // to the data file. All zero in kMemory mode.
-  std::atomic<uint64_t> pool_hits{0};
-  std::atomic<uint64_t> pool_misses{0};
-  std::atomic<uint64_t> frames_evicted{0};
-  std::atomic<uint64_t> dirty_writebacks{0};
   double duration_ms = 0;
+  // old -> new, published before O_old is freed and retracted if the
+  // migration rolls back.
   std::unordered_map<ObjectId, ObjectId> relocation;
 
-  ReorgStats() = default;
-  ReorgStats(const ReorgStats& other) { *this = other; }
-  ReorgStats& operator=(const ReorgStats& other) {
-    if (this == &other) return *this;
-    objects_migrated.store(other.objects_migrated.load());
-    garbage_collected.store(other.garbage_collected.load());
-    bytes_moved.store(other.bytes_moved.load());
-    find_exact_retries.store(other.find_exact_retries.load());
-    lock_timeouts.store(other.lock_timeouts.load());
-    trt_tuples_drained.store(other.trt_tuples_drained.load());
-    traversal_visited.store(other.traversal_visited.load());
-    trt_peak_size.store(other.trt_peak_size.load());
-    max_distinct_objects_locked.store(other.max_distinct_objects_locked.load());
-    backoff_sleeps.store(other.backoff_sleeps.load());
-    backoff_total_ms.store(other.backoff_total_ms.load());
-    claim_deferrals.store(other.claim_deferrals.load());
-    aborts_rolled_back.store(other.aborts_rolled_back.load());
-    side_effects_compensated.store(other.side_effects_compensated.load());
-    group_commit_batches.store(other.group_commit_batches.load());
-    forces_absorbed.store(other.forces_absorbed.load());
-    claim_wakeups.store(other.claim_wakeups.load());
-    deadlocks_detected.store(other.deadlocks_detected.load());
-    victims_aborted.store(other.victims_aborted.load());
-    victim_wait_ms_saved.store(other.victim_wait_ms_saved.load());
-    latchfree_reads.store(other.latchfree_reads.load());
-    epoch_advances.store(other.epoch_advances.load());
-    retire_drains.store(other.retire_drains.load());
-    faults_injected.store(other.faults_injected.load());
-    wal_records_verified.store(other.wal_records_verified.load());
-    torn_tails_truncated.store(other.torn_tails_truncated.load());
-    checkpoint_generations_discarded.store(
-        other.checkpoint_generations_discarded.load());
-    fsyncs.store(other.fsyncs.load());
-    media_faults_injected.store(other.media_faults_injected.load());
-    pool_hits.store(other.pool_hits.load());
-    pool_misses.store(other.pool_misses.load());
-    frames_evicted.store(other.frames_evicted.load());
-    dirty_writebacks.store(other.dirty_writebacks.load());
-    duration_ms = other.duration_ms;
-    std::scoped_lock l(relocation_mu_, other.relocation_mu_);
-    relocation = other.relocation;
-    return *this;
-  }
-
+  // Records old -> new and, for RelocatedFrom, new -> old.
   void AddRelocation(ObjectId from, ObjectId to) {
     std::lock_guard<std::mutex> g(relocation_mu_);
     relocation[from] = to;
+    reverse_[to] = from;
   }
-  // Compensating action for AddRelocation: an aborted migration must
-  // retract its publication or a sibling would chase old -> new into a
-  // rolled-back copy.
+  // Compensating action for AddRelocation (both directions): an aborted
+  // migration must retract its publication or a sibling would chase
+  // old -> new into a rolled-back copy.
   void RemoveRelocation(ObjectId from) {
     std::lock_guard<std::mutex> g(relocation_mu_);
-    relocation.erase(from);
+    auto it = relocation.find(from);
+    if (it == relocation.end()) return;
+    auto rit = reverse_.find(it->second);
+    if (rit != reverse_.end() && rit->second == from) reverse_.erase(rit);
+    relocation.erase(it);
   }
   // True (and *to filled in) when `from` was relocated by this run.
   bool Relocated(ObjectId from, ObjectId* to) const {
@@ -167,6 +98,17 @@ struct ReorgStats {
     *to = it->second;
     return true;
   }
+  // True (and *from filled in) when `to` is the copy some migration of
+  // these stats created. Chasing it repeatedly walks an object's earlier
+  // identities; stats reused across runs only lengthen that chain, which
+  // makes a lock-history wait over it more conservative, never less.
+  bool RelocatedFrom(ObjectId to, ObjectId* from) const {
+    std::lock_guard<std::mutex> g(relocation_mu_);
+    auto it = reverse_.find(to);
+    if (it == reverse_.end()) return false;
+    *from = it->second;
+    return true;
+  }
   std::unordered_map<ObjectId, ObjectId> RelocationSnapshot() const {
     std::lock_guard<std::mutex> g(relocation_mu_);
     return relocation;
@@ -174,6 +116,46 @@ struct ReorgStats {
 
  private:
   mutable std::mutex relocation_mu_;
+  std::unordered_map<ObjectId, ObjectId> reverse_;
+};
+
+// A flat, named snapshot of monotone counters (Database::Metrics()).
+// Each shared counter has exactly one name here, prefixed by its layer
+// (wal., txn., epoch., storage., fault.). A window's share is
+// after.Since(before). Get of a name the snapshot does not hold aborts
+// the process, so a misspelt name cannot silently read as 0.
+class MetricsSnapshot {
+ public:
+  using Entry = std::pair<std::string, uint64_t>;
+
+  void Add(std::string name, uint64_t value) {
+    entries_.emplace_back(std::move(name), value);
+  }
+
+  uint64_t Get(std::string_view name) const {
+    for (const Entry& e : entries_) {
+      if (e.first == name) return e.second;
+    }
+    std::fprintf(stderr, "brahma: unknown metric '%.*s'\n",
+                 static_cast<int>(name.size()), name.data());
+    std::abort();
+  }
+
+  // Per-name difference this - before; both must hold the same names.
+  MetricsSnapshot Since(const MetricsSnapshot& before) const {
+    MetricsSnapshot out;
+    for (const auto& [name, value] : entries_) {
+      out.Add(name, value - before.Get(name));
+    }
+    return out;
+  }
+
+  std::vector<Entry>::const_iterator begin() const { return entries_.begin(); }
+  std::vector<Entry>::const_iterator end() const { return entries_.end(); }
+  size_t size() const { return entries_.size(); }
+
+ private:
+  std::vector<Entry> entries_;
 };
 
 // Streaming summary of a sample (Welford's algorithm) plus retained raw

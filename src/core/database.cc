@@ -201,10 +201,8 @@ void Database::SimulateCrash() {
   epoch_->ForceDrainAll();
 }
 
-Status Database::Recover(ReorgStats* stats) {
+Status Database::Recover() {
   if (disk_log_ != nullptr) {
-    const uint64_t faults_before =
-        MediaFaultInjector::Instance().faults_injected();
     ScrubReport report;
     CheckpointImage img;
     uint64_t gen = 0;
@@ -224,17 +222,9 @@ Status Database::Recover(ReorgStats* stats) {
         cs.ok() || cs.IsNotFound()
             ? disk_log_->Recover(floor, &recovered, &report)
             : cs;
-    // Fold scrub + media-fault counters whether or not the scan
-    // succeeded — a refused recovery still reports what it saw.
+    // Fold scrub counters whether or not the scan succeeded — a refused
+    // recovery still reports what it saw.
     scrub_.Add(report);
-    if (stats != nullptr) {
-      stats->wal_records_verified.fetch_add(report.wal_records_verified);
-      stats->torn_tails_truncated.fetch_add(report.torn_tails_truncated);
-      stats->checkpoint_generations_discarded.fetch_add(
-          report.checkpoint_generations_discarded);
-      stats->media_faults_injected.fetch_add(
-          MediaFaultInjector::Instance().faults_injected() - faults_before);
-    }
     if (!ds.ok()) return ds;
     if (!checkpoint_.valid && !recovered.empty() &&
         recovered.front().lsn != 1) {
@@ -256,6 +246,43 @@ Status Database::Recover(ReorgStats* stats) {
   analyzer_->SkipToEnd();
   analyzer_->Start(options_.analyzer_mode);
   return Status::Ok();
+}
+
+MetricsSnapshot Database::Metrics() const {
+  const BufferPool* pool = pool_.get();
+  const DiskManager* disk = disk_data_.get();
+  MetricsSnapshot m;
+  m.Add("wal.fsyncs", log_->fsyncs());
+  m.Add("wal.group_commit_batches", log_->group_commit_batches());
+  m.Add("wal.forces_absorbed", log_->group_commit_forces_absorbed());
+  m.Add("wal.segments_scanned", scrub_.segments_scanned);
+  m.Add("wal.records_verified", scrub_.wal_records_verified);
+  m.Add("wal.bytes_scanned", scrub_.wal_bytes_scanned);
+  m.Add("wal.torn_tails_truncated", scrub_.torn_tails_truncated);
+  m.Add("wal.torn_bytes_discarded", scrub_.torn_bytes_discarded);
+  m.Add("wal.checkpoint_generations_discarded",
+        scrub_.checkpoint_generations_discarded);
+  m.Add("txn.deadlocks_detected", locks_->deadlocks_detected());
+  m.Add("txn.victims_aborted", locks_->victims_aborted());
+  m.Add("txn.user_victims", locks_->user_victims());
+  m.Add("txn.victim_wait_ms_saved", locks_->victim_wait_saved_ms());
+  m.Add("epoch.advances", epoch_->epochs_advanced());
+  m.Add("epoch.retire_drains", epoch_->retire_drains());
+  m.Add("epoch.latchfree_reads", epoch_->latchfree_reads());
+  m.Add("storage.pool_hits", pool != nullptr ? pool->pool_hits() : 0);
+  m.Add("storage.pool_misses", pool != nullptr ? pool->pool_misses() : 0);
+  m.Add("storage.frames_evicted",
+        pool != nullptr ? pool->frames_evicted() : 0);
+  m.Add("storage.dirty_writebacks",
+        pool != nullptr ? pool->dirty_writebacks() : 0);
+  m.Add("storage.warm_rescues", pool != nullptr ? pool->warm_rescues() : 0);
+  m.Add("storage.crc_failures", pool != nullptr ? pool->crc_failures() : 0);
+  m.Add("storage.pages_read", disk != nullptr ? disk->pages_read() : 0);
+  m.Add("storage.pages_written", disk != nullptr ? disk->pages_written() : 0);
+  m.Add("fault.failpoints_triggered", FailPoints::Instance().total_triggered());
+  m.Add("fault.media_faults_injected",
+        MediaFaultInjector::Instance().faults_injected());
+  return m;
 }
 
 }  // namespace brahma

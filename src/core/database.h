@@ -50,8 +50,8 @@ struct DatabaseOptions {
   std::chrono::milliseconds lock_timeout = kPaperLockTimeout;
 
   // How lock waits detect and break deadlocks before the timeout fires:
-  // waits-for graph detection (default), wait-die, or the paper's
-  // timeout-only baseline. See common/params.h and DESIGN.md §10.
+  // waits-for graph detection (default) or the paper's timeout-only
+  // baseline. See common/params.h and DESIGN.md §10.
   DeadlockPolicy deadlock_policy = kDefaultDeadlockPolicy;
 
   // Epoch-protected latch-free read path (DESIGN.md §11): ReadRefs/
@@ -185,11 +185,16 @@ class Database {
   // chain, truncating an unacknowledged torn tail, Status::Corrupted if
   // stable data is damaged); then restores the checkpoint image, redoes
   // history, undoes losers, rebuilds ERTs, and restarts the analyzer.
-  // Scrub counters fold into *stats when given.
-  Status Recover(ReorgStats* stats = nullptr);
+  Status Recover();
 
   // Cumulative scrub counters across every Recover on this database.
   const ScrubReport& scrub() const { return scrub_; }
+
+  // Every shared monotone counter (log, lock manager, epochs, buffer
+  // pool, data file, recovery scrub, fault injection), one name each,
+  // read through its owner's accessor. Absent subsystems read 0 under
+  // the same names. A window's share is Metrics().Since(before).
+  MetricsSnapshot Metrics() const;
   DiskLog* disk_log() { return disk_log_.get(); }
 
  private:

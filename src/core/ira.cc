@@ -9,11 +9,9 @@
 #include "common/clock.h"
 #include "common/epoch.h"
 #include "common/failpoint.h"
-#include "common/file_util.h"
 #include "core/fuzzy_traversal.h"
 #include "core/migration_pipe.h"
 #include "core/reorg_throttle.h"
-#include "storage/buffer_pool.h"
 
 namespace brahma {
 
@@ -96,7 +94,6 @@ Status IraReorganizer::Resume(const ReorgCheckpoint& checkpoint,
       // Re-arm the store-level chase table for latch-free readers holding
       // pre-crash ids (the table is volatile; the checkpoint is its redo).
       ctx_.store->PublishRelocation(old_id, new_id);
-      RecordReverseRelocation(new_id, old_id);
     }
     // Patch for migrations that committed after the checkpoint: their old
     // identities are dead; parents recorded under them now live in the new
@@ -114,7 +111,6 @@ Status IraReorganizer::Resume(const ReorgCheckpoint& checkpoint,
       migrated->Insert(old_id);
       stats->AddRelocation(old_id, new_id);
       ctx_.store->PublishRelocation(old_id, new_id);
-      RecordReverseRelocation(new_id, old_id);
       tr->parents.ReplaceParentEverywhere(old_id, new_id);
       tr->parents.Erase(old_id);
     }
@@ -136,34 +132,6 @@ Status IraReorganizer::Reorganize(PartitionId p, RelocationPlanner* planner,
         "wait_for_historical_lockers requires lock history");
   }
   Stopwatch sw;
-  const uint64_t faults_before = FailPoints::Instance().total_triggered();
-  const uint64_t gc_batches_before = ctx_.log->group_commit_batches();
-  const uint64_t gc_absorbed_before =
-      ctx_.log->group_commit_forces_absorbed();
-  const uint64_t fsyncs_before = ctx_.log->fsyncs();
-  const uint64_t media_faults_before =
-      MediaFaultInjector::Instance().faults_injected();
-  const uint64_t dd_before = ctx_.locks->deadlocks_detected();
-  const uint64_t va_before = ctx_.locks->victims_aborted();
-  const uint64_t vw_before = ctx_.locks->victim_wait_saved_ms();
-  const uint64_t ea_before =
-      ctx_.epoch != nullptr ? ctx_.epoch->epochs_advanced() : 0;
-  const uint64_t rd_before =
-      ctx_.epoch != nullptr ? ctx_.epoch->retire_drains() : 0;
-  const uint64_t lf_before =
-      ctx_.epoch != nullptr ? ctx_.epoch->latchfree_reads() : 0;
-  BufferPool* pool = ctx_.store->buffer_pool();
-  const uint64_t ph_before = pool != nullptr ? pool->pool_hits() : 0;
-  const uint64_t pm_before = pool != nullptr ? pool->pool_misses() : 0;
-  const uint64_t fe_before = pool != nullptr ? pool->frames_evicted() : 0;
-  const uint64_t dw_before = pool != nullptr ? pool->dirty_writebacks() : 0;
-
-  // Cleared before seeding: Resume's seed records the checkpointed
-  // relocations in reverse_relocation_.
-  {
-    std::lock_guard<std::mutex> g(reloc_mu_);
-    reverse_relocation_.clear();
-  }
   {
     std::lock_guard<std::mutex> g(claims_mu_);
     claims_.clear();
@@ -182,45 +150,12 @@ Status IraReorganizer::Reorganize(PartitionId p, RelocationPlanner* planner,
   Status result = MigrateAllAndFinish(p, planner, options, tr.traversed,
                                       objects, &migrated, &tr.parents, stats);
   stats->duration_ms = sw.ElapsedMillis();
-  stats->faults_injected +=
-      FailPoints::Instance().total_triggered() - faults_before;
-  // Deltas of the shared log counters: user commits that batched with
-  // the reorg's forces are attributed to the run they overlapped.
-  stats->group_commit_batches +=
-      ctx_.log->group_commit_batches() - gc_batches_before;
-  stats->forces_absorbed +=
-      ctx_.log->group_commit_forces_absorbed() - gc_absorbed_before;
-  // Durability deltas (kInMemory mode contributes zeros): real fsyncs
-  // the run's commits paid, and media faults the file layer injected
-  // while the run overlapped them.
-  stats->fsyncs += ctx_.log->fsyncs() - fsyncs_before;
-  stats->media_faults_injected +=
-      MediaFaultInjector::Instance().faults_injected() - media_faults_before;
-  // Deadlock counters are shared LockManager state, delta'd like the
-  // group-commit ones: cycles a user transaction broke against this run
-  // belong to this run's story.
-  stats->deadlocks_detected += ctx_.locks->deadlocks_detected() - dd_before;
-  stats->victims_aborted += ctx_.locks->victims_aborted() - va_before;
-  stats->victim_wait_ms_saved +=
-      ctx_.locks->victim_wait_saved_ms() - vw_before;
   if (ctx_.epoch != nullptr) {
     // Give retirements queued at the tail of the run a drain pass now
     // that the migration transactions are done: compaction accounting
     // (and the fragmentation assertions in tests) wants O_old's holes
-    // back as soon as the last reader's grace period allows. Then fold
-    // the shared epoch counters as deltas, like the group-commit ones.
+    // back as soon as the last reader's grace period allows.
     ctx_.epoch->AdvanceAndDrain();
-    stats->epoch_advances += ctx_.epoch->epochs_advanced() - ea_before;
-    stats->retire_drains += ctx_.epoch->retire_drains() - rd_before;
-    stats->latchfree_reads += ctx_.epoch->latchfree_reads() - lf_before;
-  }
-  if (pool != nullptr) {
-    // Frame-pool deltas (DESIGN.md §13), like the group-commit ones:
-    // page traffic any thread generated while this run overlapped it.
-    stats->pool_hits += pool->pool_hits() - ph_before;
-    stats->pool_misses += pool->pool_misses() - pm_before;
-    stats->frames_evicted += pool->frames_evicted() - fe_before;
-    stats->dirty_writebacks += pool->dirty_writebacks() - dw_before;
   }
   return result;
 }
@@ -568,32 +503,19 @@ Status IraReorganizer::Checkpoint(PartitionId p, const IraOptions& options,
   return Status::Ok();
 }
 
-void IraReorganizer::RecordReverseRelocation(ObjectId onew, ObjectId oold) {
-  std::lock_guard<std::mutex> g(reloc_mu_);
-  reverse_relocation_[onew] = oold;
-}
-
-void IraReorganizer::WaitForHistoricalLockers(ObjectId oid, Transaction* txn) {
+void IraReorganizer::WaitForHistoricalLockers(ObjectId oid, Transaction* txn,
+                                              const ReorgStats& stats) {
   // Wait for every active transaction that ever locked this object —
-  // under any identity it had during this run. A reader of the
+  // under any identity it had (stats' new -> old chain). A reader of the
   // pre-migration copy may still hold its references in local memory.
-  for (;;) {
+  // A recycled address can close the chain into a cycle; stop there.
+  std::unordered_set<ObjectId> seen;
+  do {
+    if (!seen.insert(oid).second) break;
     for (TxnId t : ctx_.locks->HistoricalHolders(oid, txn->id())) {
       ctx_.txns->WaitForTxn(t);
     }
-    bool has_prev = false;
-    ObjectId prev;
-    {
-      std::lock_guard<std::mutex> g(reloc_mu_);
-      auto it = reverse_relocation_.find(oid);
-      if (it != reverse_relocation_.end()) {
-        prev = it->second;
-        has_prev = true;
-      }
-    }
-    if (!has_prev) break;
-    oid = prev;
-  }
+  } while (stats.RelocatedFrom(oid, &oid));
 }
 
 bool IraReorganizer::TryClaimFootprint(ObjectId oid,
@@ -665,7 +587,7 @@ Status IraReorganizer::FindExactParents(ObjectId oid, Transaction* txn,
     newly_locked->push_back(r);
     locked_here.insert(r);
     if (options.wait_for_historical_lockers) {
-      WaitForHistoricalLockers(r, txn);
+      WaitForHistoricalLockers(r, txn, *stats);
     }
     return s;
   };
@@ -783,7 +705,7 @@ Status IraReorganizer::MigrateBasic(ObjectId oid, PartitionId p,
     if (s.ok()) {
       newly_locked.push_back(oid);
       if (options.wait_for_historical_lockers) {
-        WaitForHistoricalLockers(oid, txn);
+        WaitForHistoricalLockers(oid, txn, *stats);
       }
     } else if (s.IsTimedOut()) {
       ++stats->lock_timeouts;
@@ -836,19 +758,12 @@ Status IraReorganizer::MigrateBasic(ObjectId oid, PartitionId p,
     return s;
   }
   migrated->Insert(oid);
-  RecordReverseRelocation(onew, oid);
   {
     // The migration markers roll back with the group: replaying this
     // entry un-migrates the object and reports it for requeue.
-    IraReorganizer* self = this;
     MigratedSet* mset = migrated;
     ws->side_effects.RecordMigrated(txn->id(), oid,
-                                    [self, mset, oid, onew] {
-                                      mset->Erase(oid);
-                                      std::lock_guard<std::mutex> g(
-                                          self->reloc_mu_);
-                                      self->reverse_relocation_.erase(onew);
-                                    });
+                                    [mset, oid] { mset->Erase(oid); });
   }
   AtomicMax(&stats->max_distinct_objects_locked, txn->num_locks_held());
   if (++ws->in_group >= options.group_size) {
@@ -927,7 +842,7 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
     // also flushes the undo of any such transaction that later aborts —
     // undo writes bypass the lock manager, so they must all be complete
     // before O_old's contents are copied.
-    WaitForHistoricalLockers(oid, anchor.get());
+    WaitForHistoricalLockers(oid, anchor.get(), *stats);
   }
   // Exits with matching crash semantics: an injected crash abandons open
   // transactions (no undo, no lock release — restart recovery owns the
@@ -1092,7 +1007,7 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
         continue;
       }
       if (options.wait_for_historical_lockers) {
-        WaitForHistoricalLockers(r, ptxn.get());
+        WaitForHistoricalLockers(r, ptxn.get(), *stats);
       }
       // Writers of r completed before the lock was granted; sync so the
       // ERT reflects their edits before this rewrite adjusts it.
@@ -1236,7 +1151,6 @@ Status IraReorganizer::MigrateTwoLock(ObjectId oid, PartitionId p,
   }
   if (!s.ok()) return bail(s);
   migrated->Insert(oid);
-  RecordReverseRelocation(onew, oid);
   return Status::Ok();
 }
 

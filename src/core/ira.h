@@ -151,8 +151,8 @@ class IraReorganizer {
   using Seed = std::function<void(TraversalResult*, MigratedSet*)>;
 
   // The body Run and Resume share: checks the options, seeds, migrates
-  // every traversed object not yet migrated in planner order, and folds
-  // the shared subsystems' counter deltas into *stats.
+  // every traversed object not yet migrated in planner order, and gives
+  // the epoch manager a final drain pass.
   Status Reorganize(PartitionId p, RelocationPlanner* planner,
                     const IraOptions& options, ReorgStats* stats,
                     const Seed& seed);
@@ -259,17 +259,13 @@ class IraReorganizer {
                       const std::unordered_set<ObjectId>& traversed,
                       const ReorgStats& stats_so_far, ReorgStats* stats);
 
-  void WaitForHistoricalLockers(ObjectId oid, Transaction* txn);
-
-  void RecordReverseRelocation(ObjectId onew, ObjectId oold);
+  // A transaction that copied a reference out of an object before it
+  // migrated appears only in the lock history of the old identity;
+  // Section 4.1 waits chase pre-images through stats.RelocatedFrom.
+  void WaitForHistoricalLockers(ObjectId oid, Transaction* txn,
+                                const ReorgStats& stats);
 
   ReorgContext ctx_;
-  // O_new -> O_old for this run. A transaction that copied a reference
-  // out of an object before it migrated appears only in the lock history
-  // of the old identity; Section 4.1 waits must chase pre-images.
-  // Guarded by reloc_mu_ (N workers record and chase concurrently).
-  std::mutex reloc_mu_;
-  std::unordered_map<ObjectId, ObjectId> reverse_relocation_;
   // Active two-lock footprint claims: anchor -> {anchor} ∪ parents.
   std::mutex claims_mu_;
   std::unordered_map<ObjectId, std::unordered_set<ObjectId>> claims_;

@@ -139,8 +139,8 @@ class BufferPool {
     return resident_;
   }
 
-  // Shared monotone counters, delta-folded into ReorgStats like the
-  // group-commit and epoch counters.
+  // Shared monotone counters, named in Database::Metrics(); a run's
+  // share is a before/after delta.
   uint64_t pool_hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t pool_misses() const {
     return misses_.load(std::memory_order_relaxed);

@@ -215,12 +215,14 @@ void RunAbortRequeueSchedule(bool two_lock, const std::string& site) {
   CopyOutPlanner planner(5);
   ReorgStats stats;
   IraReorganizer ira(db.reorg_context());
+  const MetricsSnapshot before = db.Metrics();
   Status s = ira.Run(1, &planner, opt, &stats);
+  const MetricsSnapshot run = db.Metrics().Since(before);
   mutators.StopAndJoin();
   FailPoints::Instance().Reset();
 
   ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(stats.faults_injected, 1u);
+  EXPECT_EQ(run.Get("fault.failpoints_triggered"), 1u);
   EXPECT_GE(stats.aborts_rolled_back, 1u);
 
   db.analyzer().Sync();

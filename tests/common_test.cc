@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -208,6 +209,28 @@ TEST(StopwatchTest, Monotonic) {
   EXPECT_GE(ms, 9.0);
   EXPECT_LT(ms, 5000.0);
   EXPECT_GE(sw.ElapsedMicros(), 9000);
+}
+
+TEST(MetricsSnapshotTest, SinceIsPerNameDifference) {
+  MetricsSnapshot before;
+  before.Add("wal.fsyncs", 3);
+  before.Add("txn.deadlocks_detected", 10);
+  MetricsSnapshot after;
+  after.Add("wal.fsyncs", 8);
+  after.Add("txn.deadlocks_detected", 10);
+  const MetricsSnapshot window = after.Since(before);
+  EXPECT_EQ(window.Get("wal.fsyncs"), 5u);
+  EXPECT_EQ(window.Get("txn.deadlocks_detected"), 0u);
+  std::vector<std::string> names;
+  for (const auto& [name, value] : window) names.push_back(name);
+  EXPECT_EQ(names, (std::vector<std::string>{"wal.fsyncs",
+                                             "txn.deadlocks_detected"}));
+}
+
+TEST(MetricsSnapshotDeathTest, GetOfUnknownNameDies) {
+  MetricsSnapshot m;
+  m.Add("wal.fsyncs", 1);
+  EXPECT_DEATH(m.Get("wal.fsync"), "unknown metric 'wal.fsync'");
 }
 
 }  // namespace

@@ -126,10 +126,12 @@ void RunCrashSchedule(bool two_lock, const std::string& site,
   CopyOutPlanner planner(5);
   ReorgStats stats;
   IraReorganizer ira(db.reorg_context());
+  const MetricsSnapshot before = db.Metrics();
   Status s = ira.Run(1, &planner, opt, &stats);
+  const MetricsSnapshot run = db.Metrics().Since(before);
   mutators.StopAndJoin();
   ASSERT_TRUE(s.IsCrashed()) << s.ToString();
-  EXPECT_GT(stats.faults_injected, 0u);
+  EXPECT_GT(run.Get("fault.failpoints_triggered"), 0u);
   FailPoints::Instance().Reset();
 
   // The process "died"; volatile state goes away, restart recovery runs.

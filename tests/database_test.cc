@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
+#include <string>
 #include <thread>
 
+#include "common/failpoint.h"
+#include "common/file_util.h"
 #include "common/random.h"
 #include "core/ira.h"
 #include "tests/test_util.h"
@@ -172,6 +176,89 @@ TEST(DatabaseTest, UnflushedMigrationLostButConsistent) {
   EXPECT_TRUE(db.store().Validate(anew));
   EXPECT_FALSE(db.store().Validate(a));
   EXPECT_EQ(db.store().Get(ext)->refs()[0], anew);
+}
+
+// Disk WAL and disk data backing under `dir`.
+DatabaseOptions DiskOptions(const std::string& dir) {
+  DatabaseOptions opt = testing::SmallDbOptions(4);
+  opt.durability = Durability::kDisk;
+  opt.wal_dir = dir + "/wal";
+  opt.data_backing = DataBacking::kDisk;
+  opt.data_dir = dir;
+  opt.buffer_pool_frames = 16;
+  return opt;
+}
+
+std::set<std::string> MetricNames(const MetricsSnapshot& m) {
+  std::set<std::string> names;
+  for (const auto& [name, value] : m) names.insert(name);
+  return names;
+}
+
+TEST(DatabaseTest, MetricsNamesAreUniqueAndConfigurationIndependent) {
+  testing::ScopedTempDir dir("metrics-names");
+  Database mem(testing::SmallDbOptions(2));
+  Database disk(DiskOptions(dir.path()));
+  ASSERT_TRUE(disk.durability_status().ok());
+  ASSERT_TRUE(disk.data_status().ok());
+  const MetricsSnapshot m = mem.Metrics();
+  EXPECT_EQ(MetricNames(m).size(), m.size());  // no name listed twice
+  EXPECT_EQ(MetricNames(m), MetricNames(disk.Metrics()));
+  EXPECT_EQ(m.Get("storage.pool_hits"), 0u);  // no pool in memory mode
+}
+
+TEST(DatabaseTest, MetricsReadTheSubsystemAccessors) {
+  testing::ScopedTempDir dir("metrics-values");
+  Database db(DiskOptions(dir.path()));
+  ASSERT_TRUE(db.durability_status().ok());
+  ASSERT_TRUE(db.data_status().ok());
+  BuiltGraph graph;
+  GraphBuilder builder(&db);
+  ASSERT_TRUE(builder.Build(testing::SmallWorkload(2), &graph).ok());
+  CopyOutPlanner planner(4);
+  ReorgStats stats;
+  ASSERT_TRUE(db.RunIra(1, &planner, IraOptions{}, &stats).ok());
+  ASSERT_GT(stats.objects_migrated, 0u);
+
+  const MetricsSnapshot m = db.Metrics();
+  BufferPool* pool = db.buffer_pool();
+  DiskManager* data = db.disk_data();
+  EXPECT_GT(m.Get("wal.fsyncs"), 0u);
+  EXPECT_GT(m.Get("storage.pool_misses"), 0u);
+  EXPECT_EQ(m.Get("wal.fsyncs"), db.log().fsyncs());
+  EXPECT_EQ(m.Get("wal.group_commit_batches"),
+            db.log().group_commit_batches());
+  EXPECT_EQ(m.Get("wal.forces_absorbed"),
+            db.log().group_commit_forces_absorbed());
+  EXPECT_EQ(m.Get("wal.segments_scanned"), db.scrub().segments_scanned);
+  EXPECT_EQ(m.Get("wal.records_verified"), db.scrub().wal_records_verified);
+  EXPECT_EQ(m.Get("wal.bytes_scanned"), db.scrub().wal_bytes_scanned);
+  EXPECT_EQ(m.Get("wal.torn_tails_truncated"),
+            db.scrub().torn_tails_truncated);
+  EXPECT_EQ(m.Get("wal.torn_bytes_discarded"),
+            db.scrub().torn_bytes_discarded);
+  EXPECT_EQ(m.Get("wal.checkpoint_generations_discarded"),
+            db.scrub().checkpoint_generations_discarded);
+  EXPECT_EQ(m.Get("txn.deadlocks_detected"), db.locks().deadlocks_detected());
+  EXPECT_EQ(m.Get("txn.victims_aborted"), db.locks().victims_aborted());
+  EXPECT_EQ(m.Get("txn.user_victims"), db.locks().user_victims());
+  EXPECT_EQ(m.Get("txn.victim_wait_ms_saved"),
+            db.locks().victim_wait_saved_ms());
+  EXPECT_EQ(m.Get("epoch.advances"), db.epoch().epochs_advanced());
+  EXPECT_EQ(m.Get("epoch.retire_drains"), db.epoch().retire_drains());
+  EXPECT_EQ(m.Get("epoch.latchfree_reads"), db.epoch().latchfree_reads());
+  EXPECT_EQ(m.Get("storage.pool_hits"), pool->pool_hits());
+  EXPECT_EQ(m.Get("storage.pool_misses"), pool->pool_misses());
+  EXPECT_EQ(m.Get("storage.frames_evicted"), pool->frames_evicted());
+  EXPECT_EQ(m.Get("storage.dirty_writebacks"), pool->dirty_writebacks());
+  EXPECT_EQ(m.Get("storage.warm_rescues"), pool->warm_rescues());
+  EXPECT_EQ(m.Get("storage.crc_failures"), pool->crc_failures());
+  EXPECT_EQ(m.Get("storage.pages_read"), data->pages_read());
+  EXPECT_EQ(m.Get("storage.pages_written"), data->pages_written());
+  EXPECT_EQ(m.Get("fault.failpoints_triggered"),
+            FailPoints::Instance().total_triggered());
+  EXPECT_EQ(m.Get("fault.media_faults_injected"),
+            MediaFaultInjector::Instance().faults_injected());
 }
 
 }  // namespace

@@ -83,7 +83,9 @@ TEST(LatchfreeReadTest, StaleIdsChaseAcrossMigration) {
 
   CopyOutPlanner planner(5);
   ReorgStats stats;
+  const MetricsSnapshot before = db.Metrics();
   ASSERT_TRUE(db.RunIra(1, &planner, IraOptions{}, &stats).ok());
+  const MetricsSnapshot run = db.Metrics().Since(before);
   ASSERT_EQ(CountLiveObjects(&db.store(), 1), 0u);  // all moved away
 
   auto txn = db.Begin();
@@ -94,10 +96,10 @@ TEST(LatchfreeReadTest, StaleIdsChaseAcrossMigration) {
     EXPECT_EQ(refs.size(), WorkloadParams::kNumRefSlots);
   }
   ASSERT_TRUE(txn->Commit().ok());
-  // The run's stats carry the epoch counter deltas (retirements of every
-  // O_old drained by the end-of-run pass).
-  EXPECT_GT(stats.epoch_advances, 0u);
-  EXPECT_GT(stats.retire_drains, 0u);
+  // The run's window carries the epoch counter deltas (retirements of
+  // every O_old drained by the end-of-run pass).
+  EXPECT_GT(run.Get("epoch.advances"), 0u);
+  EXPECT_GT(run.Get("epoch.retire_drains"), 0u);
 }
 
 // Satellite regression: RelocationPlanner::Transform resizes the ref

@@ -66,14 +66,16 @@ struct ServerHarness {
   std::unique_ptr<NetServer> server;
 };
 
-// Sends an RST on close instead of a FIN — the socket-level equivalent
-// of the peer process being killed -9 mid-exchange.
-void HardClose(int fd) {
+// Makes the socket's next close() send an RST instead of a FIN — the
+// socket-level equivalent of the peer process being killed -9
+// mid-exchange. The owning NetClient's Close() stays the only close: a
+// second close() of the same number could shut a server socket that an
+// accept() reused it for in between.
+void ArmHardClose(int fd) {
   struct linger lg;
   lg.l_onoff = 1;
   lg.l_linger = 0;
   setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
-  close(fd);
 }
 
 bool WaitFor(const std::function<bool()>& pred, int timeout_ms = 5000) {
@@ -200,10 +202,7 @@ TEST(NetServerTest, ClientHardCloseMidExchangeServerSurvives) {
       ASSERT_EQ(send(victim.fd(), frame.data(), frame.size(), MSG_NOSIGNAL),
                 static_cast<ssize_t>(frame.size()));
     }
-    HardClose(victim.fd());
-    // NetClient's destructor would close() again; detach it.
-    // (Close() on an already-closed fd is harmless but avoid EBADF races
-    // with other tests' fds.)
+    ArmHardClose(victim.fd());
     victim.Close();
   }
 
@@ -243,7 +242,7 @@ TEST(NetServerTest, DisconnectReleasesLocks) {
   NetClient locker = h.MakeClient();
   ASSERT_TRUE(locker.Begin(nullptr).ok());
   ASSERT_TRUE(locker.Update(contested, payload).ok());  // X lock held
-  HardClose(locker.fd());
+  ArmHardClose(locker.fd());
   locker.Close();
 
   NetClient writer = h.MakeClient();

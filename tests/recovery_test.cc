@@ -332,10 +332,11 @@ TEST_F(DiskRecoveryTest, TornTailPastStableFloorIsTruncated) {
     EXPECT_GT(MediaFaultInjector::Instance().faults_injected(), faults_before);
 
     d.db->SimulateCrash();
-    ReorgStats rs;
-    ASSERT_TRUE(d.db->Recover(&rs).ok());
-    EXPECT_GE(rs.torn_tails_truncated, 1u);
-    EXPECT_GE(rs.wal_records_verified, 1u);
+    const MetricsSnapshot before = d.db->Metrics();
+    ASSERT_TRUE(d.db->Recover().ok());
+    const MetricsSnapshot rec = d.db->Metrics().Since(before);
+    EXPECT_GE(rec.Get("wal.torn_tails_truncated"), 1u);
+    EXPECT_GE(rec.Get("wal.records_verified"), 1u);
     EXPECT_EQ(d.DataByte(a), 0x22);  // acknowledged write survived
     // The store is fully usable after the truncated recovery.
     ASSERT_TRUE(d.WriteCommitted(a, 0x44).ok());
@@ -357,8 +358,7 @@ TEST_F(DiskRecoveryTest, TornTailBelowStableFloorIsCorrupted) {
   ASSERT_TRUE(
       InjectFileFault(d.WalSegment(true), FileFaultKind::kTruncateAt, 45)
           .ok());
-  ReorgStats rs;
-  Status s = d.db->Recover(&rs);
+  Status s = d.db->Recover();
   EXPECT_TRUE(s.IsCorrupted()) << s.ToString();
 }
 
@@ -383,7 +383,7 @@ TEST_F(DiskRecoveryTest, BitFlipMidLogIsCorrupted) {
     ASSERT_TRUE(
         InjectFileFault(first_seg, FileFaultKind::kBitFlip, 2000 * 8 + 3)
             .ok());
-    Status s = d.db->Recover(nullptr);
+    Status s = d.db->Recover();
     EXPECT_TRUE(s.IsCorrupted()) << s.ToString();
   }
 }
@@ -406,7 +406,7 @@ TEST_F(DiskRecoveryTest, FailedFsyncCommitNotAcknowledged) {
     FailPoints::Instance().Reset();
 
     d.db->SimulateCrash();
-    ASSERT_TRUE(d.db->Recover(nullptr).ok());
+    ASSERT_TRUE(d.db->Recover().ok());
     uint8_t v = d.DataByte(a);
     EXPECT_TRUE(v == 0x11 || v == 0x22) << static_cast<int>(v);
     EXPECT_EQ(testing::CountDanglingRefs(&d.db->store()), 0);
@@ -429,9 +429,11 @@ TEST_F(DiskRecoveryTest, StaleCheckpointGenerationFallback) {
   d.db->SimulateCrash();
   ASSERT_TRUE(
       InjectFileFault(d.CkptPath(2), FileFaultKind::kBitFlip, 777).ok());
-  ReorgStats rs;
-  ASSERT_TRUE(d.db->Recover(&rs).ok());
-  EXPECT_EQ(rs.checkpoint_generations_discarded, 1u);
+  MetricsSnapshot before = d.db->Metrics();
+  ASSERT_TRUE(d.db->Recover().ok());
+  EXPECT_EQ(d.db->Metrics().Since(before).Get(
+                "wal.checkpoint_generations_discarded"),
+            1u);
   EXPECT_EQ(d.DataByte(a), 0x33);
 
   // Corrupt both generations: recovery proceeds from the log alone (the
@@ -439,9 +441,11 @@ TEST_F(DiskRecoveryTest, StaleCheckpointGenerationFallback) {
   d.db->SimulateCrash();
   ASSERT_TRUE(
       InjectFileFault(d.CkptPath(1), FileFaultKind::kBitFlip, 555).ok());
-  ReorgStats rs2;
-  ASSERT_TRUE(d.db->Recover(&rs2).ok());
-  EXPECT_EQ(rs2.checkpoint_generations_discarded, 2u);
+  before = d.db->Metrics();
+  ASSERT_TRUE(d.db->Recover().ok());
+  EXPECT_EQ(d.db->Metrics().Since(before).Get(
+                "wal.checkpoint_generations_discarded"),
+            2u);
   EXPECT_EQ(d.DataByte(a), 0x33);
   EXPECT_EQ(testing::CountDanglingRefs(&d.db->store()), 0);
 }
@@ -463,8 +467,7 @@ TEST_F(DiskRecoveryTest, CrashDuringCheckpointPublishKeepsPriorImage) {
   FailPoints::Instance().Reset();
 
   d.db->SimulateCrash();
-  ReorgStats rs;
-  ASSERT_TRUE(d.db->Recover(&rs).ok());
+  ASSERT_TRUE(d.db->Recover().ok());
   EXPECT_EQ(d.DataByte(a), 0x22);  // redone from generation 1's floor
   ASSERT_TRUE(d.WriteCommitted(a, 0x33).ok());
   // The next checkpoint publishes cleanly over the failed attempt.
